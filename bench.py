@@ -34,9 +34,6 @@ BENCH_QUERIES = [
     "events_per_day",
     "doc_stats_by_lang",
     "tfidf_top_terms",
-    "purchases_last_click",
-    "daily_active_users",
-    "hll_user_estimate",
     "curate_corpus_stats",
     "redact_pii",
     "weighted_sample_docs",
@@ -51,95 +48,51 @@ BENCH_QUERIES = [
     "collocation_pairs",
     "dedup_minhash_incremental",
     "vocab_overlap",
-    "event_transitions",
-    "bloom_orders_filter",
-    "revenue_by_nation",
     "doc_cosine_pairs",
-    "fuzzy_word_pairs",
     "ngram_containment_pairs",
-    "kmv_user_estimate",
-    # continuation-session operator families (copurchase_bfs and
-    # dedup_minhash_canonical are oracle-gated but not benched — like
-    # kcore/communities they are multi-shuffle graph/component chains
-    # whose sf0.1 wall would dominate the query budget: 53 s / 18 s
-    # measured)
-    "decayed_user_value",
+    # dedup_minhash_canonical is oracle-gated but not benched — a
+    # multi-shuffle component chain whose wall (18 s at sf0.1 / 32 CPUs)
+    # would dominate the query budget
     "char_diversity",
     "doc_span_profile",
-    "sliding_hourly_distinct",
-    "activity_reconciliation",
     "corpus_diff",
     # this-session operator families (all 3-8.5 s at sf0.1 / 32 CPUs)
     "unigram_logprob",
     "sorted_neighborhood_pairs",
     "embedding_gram",
-    "attribution_linear",
-    "revenue_gini",
     "mix_rebalance_weights",
-    "late_event_counts",
-    "waiting_orders_suppliers",
-    "disjunctive_revenue",
     "unigram_js_divergence",
     "length_auc",
     "keyness_terms",
     "bpe_merge_pairs",
-    "table_profile_orders",
-    "lineitem_corr_matrix",
     "search_bm25",
     "gopher_quality_flags",
     "dsir_weights",
     "jaro_winkler_pairs",
-    "sampled_value_percentiles",
-    "zorder_events",
     "readability_scores",
     # round-3 continuation batch (2.8-17 s at sf0.1 / 32 CPUs;
     # char_dup_coverage is the heavy one — the strided 64-char-gram
     # shuffle is the exact-substring dedup workload)
     "char_dup_coverage",
     "quantile_normalize_chars",
-    "percentile_cont_by_type",
-    "user_active_time",
-    "rate_limit_audit",
     "pii_rate_by_source",
-    "cheapest_supplier_per_part",
     "hapax_rate_by_source",
     "ks_drift_by_source",
     "hashed_bow",
-    "forget_customers",
-    "type_cooccurrence_bitmap",
-    "salted_user_totals",
-    "attribution_position",
-    "quantile_sketch_violations",
-    "order_gap_hist",
-    "daily_value_ohlc",
-    "latest_event_per_user",
-    "debounced_event_counts",
-    "weighted_median_price",
-    "ship_delay_percentiles",
     "snm_quality",
     "pq_adc_violations",
     "welch_t_by_source",
     "rendezvous_shards",
-    # round-3 close batch: survival/process-state + provenance family
-    "kaplan_meier_retention",
-    "markov_stationary",
+    # round-3 close batch: provenance family
     "phrase_match_counts",
-    "rolling_corr_daily",
     "mutual_nn_pairs",
     "cross_source_overlap_matrix",
-    "daily_interp",
-    # bootstrap is map-side-only; effective_token_counts stays
-    # oracle-gated (it re-runs the full MinHash drop-list chain —
-    # same class as dedup_minhash_canonical)
-    "bootstrap_mean_ci",
-    "target_encoding_folds",
-    "negative_samples",
-    "transition_entropy",
+    # effective_token_counts stays oracle-gated (it re-runs the full
+    # MinHash drop-list chain — same class as dedup_minhash_canonical)
     "vocab_concentration",
     "langid_calibration",
     "kcenter_coreset",
     "embedding_top_pc",
-    "markov_eval_accuracy",
     "neyman_allocation",
     "dsir_clip_ess",
     # round-4: the flagship composed curation DAG (filter → exact dedup
@@ -160,7 +113,6 @@ BENCH_QUERIES = [
     "dup_rate_timeline",
     "rare_token_ratio",
     "truncation_loss_sweep",
-    "session_timeout_sweep",
     "embedding_curation_stats",
     "near_dup_cluster_profile",
     "dedup_yield_curve",

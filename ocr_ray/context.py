@@ -73,6 +73,18 @@ def configure(num_cpus: int | None = None):
     return ctx
 
 
+def missing_ray_symbol(symbol: str) -> RuntimeError:
+    """The error for a Ray private API that one of the patches here
+    relies on and the installed Ray lacks: running unpatched would bring
+    back the bug the patch works around, so the patch fails loudly."""
+    import ray
+
+    return RuntimeError(
+        f"Ray {ray.__version__} has no {symbol}; ocr_ray patches it and "
+        "needs a Ray version that provides it"
+    )
+
+
 def _patch_hash_shuffle_empty_blocks():
     """Work around a Ray 2.49 hash-shuffle schema-broadcast bug that
     crashes sparse joins: the operator broadcasts each input's schema to
@@ -90,11 +102,23 @@ def _patch_hash_shuffle_empty_blocks():
     case; idempotent, pinned to the HashShufflingOperatorBase seam."""
     import dataclasses
 
-    from ray.data._internal.execution.operators import hash_shuffle as _hs
+    try:
+        from ray.data._internal.execution.operators import hash_shuffle as _hs
+    except ImportError as e:
+        raise missing_ray_symbol(
+            "ray.data._internal.execution.operators.hash_shuffle"
+        ) from e
 
     if getattr(_hs, "_ocr_ray_empty_block_patch", False):
         return
-    _orig = _hs.HashShufflingOperatorBase._do_add_input_inner
+    base = getattr(_hs, "HashShufflingOperatorBase", None)
+    if base is None:
+        raise missing_ray_symbol("hash_shuffle.HashShufflingOperatorBase")
+    _orig = getattr(base, "_do_add_input_inner", None)
+    if _orig is None:
+        raise missing_ray_symbol(
+            "hash_shuffle.HashShufflingOperatorBase._do_add_input_inner"
+        )
 
     def _inner(self, input_bundle, input_index):
         blocks = tuple(

@@ -31,6 +31,7 @@ actors, not per-image speed.
 """
 from __future__ import annotations
 
+import functools
 import struct
 
 import numpy as np
@@ -65,6 +66,22 @@ def is_jpeg(payload: bytes) -> bool:
     return payload is not None and payload[:3] == b"\xff\xd8\xff"
 
 
+def _corrupt_is_value_error(parse):
+    """A truncated or garbled stream fails deep in the parser as a short
+    ``struct.unpack``, an index past the end or a missing table id;
+    surface all of them as the ``ValueError`` callers already handle."""
+
+    @functools.wraps(parse)
+    def wrapper(data: bytes):
+        try:
+            return parse(data)
+        except (struct.error, IndexError, KeyError) as e:
+            raise ValueError(f"corrupt JPEG: {type(e).__name__}: {e}") from e
+
+    return wrapper
+
+
+@_corrupt_is_value_error
 def jpeg_dims(data: bytes) -> tuple[int, int]:
     """(width, height) from the SOF header alone — works for EVERY SOF
     flavor (baseline, progressive, lossless), no entropy decode."""
@@ -177,6 +194,7 @@ def _idct_blocks(coefs: np.ndarray) -> np.ndarray:
     return np.einsum("xu,nuv,yv->nxy", basis, coefs, basis) + 128.0
 
 
+@_corrupt_is_value_error
 def decode_jpeg(data: bytes) -> np.ndarray:
     """Baseline JPEG → uint8 array: (H, W) for grayscale, (H, W, 3)
     RGB for 3-component YCbCr."""

@@ -1,9 +1,20 @@
 """Relational / training-data operations over document corpora.
 
+Every module here is imported by a pipeline, a stage, the CLI or a
+``driver.QUERIES`` entry (tests/test_registry.py checks this).
+
 - analysis: word-frequency learning aggregation (A1), stats (A2-A7),
   top-k (O1), language ID, quality scoring, token counts, fingerprints
-- dedup: exact, MinHash-LSH, SimHash, n-gram Jaccard
-- similarity: brute-force + bucketed ANN over embedding columns
-- multimodal: binary-column decode/resize/frame-sample stage plumbing
 - learning_state: learned-words state table, import/export merge modes
+- joins: broadcast / adaptive hash joins, semi and anti joins (J1)
+- dedup, segdedup, cdc: exact, MinHash-LSH, SimHash, n-gram Jaccard,
+  segment dedup, snapshot diffs
+- similarity, quantize, placement: ANN over embedding columns, cosine
+  dedup, k-means, SQ8/PQ codes, rendezvous placement
+- curate, filters, redact, decontam, sample, split, chunk, curriculum:
+  the curation DAG's stages and the training-mix planners
+- textstats, tfidf, lm, keyness, lexicon, search, strsim, infotheory,
+  rankcorr, stats, sketch, graph, layout, htmlops, spanstats: corpus
+  analytics behind the registry queries
+- multimodal: binary-column decode/resize/frame-sample stage plumbing
 """

@@ -9,7 +9,7 @@ independent. Exact-integer contract: with the identity
                           − Σ_i r_i·ln r_i  −  Σ_j c_j·ln c_j ]
 
 every inner sum uses the established quantized-log trick
-(ops/stats.py:user_event_entropy): ``qlog(x) = floor(ln(x)·S)`` as an
+(ops/textstats.py:zipf_slope_by_lang): ``qlog(x) = floor(ln(x)·S)`` as an
 exact integer, summed as int64 (cell counts are ≤ N, the table is
 langs × sources — tiny), so the accumulation order cannot move the
 result; the only floats are the shared final expression. The DuckDB
@@ -97,89 +97,3 @@ def mutual_information_sql(col_a: str = "lang",
         "FROM q"
     )
 
-
-def transition_entropy(events):
-    """Conditional entropy of the event-type Markov chain,
-    H(next | prev) = [Σ_i r_i·qlog(r_i) − Σ_ij n_ij·qlog(n_ij)] / (N·S)
-    in nats — how predictable the next session step is given the
-    current one (0 = deterministic flows, ln K = memoryless).  Also
-    reports the marginal H(prev) so the information ratio
-    1 − H(next|prev)/H(prev) is one division away.
-
-    Same exact-integer contract as ``mutual_information``: transition
-    counts come from one hash shuffle (ops/windows.py:
-    event_transitions, K²-bounded), every sum is quantized-log int64,
-    and the only floats are the two final expressions written
-    identically in the oracle.
-
-    Output: one row (n_transitions, n_states, h_cond_nats, h_prev_nats).
-    """
-    from ocr_ray.ops.windows import event_transitions
-
-    cells = event_transitions(events).take_all()  # <= K^2 rows
-    s = _MI_SCALE
-
-    def qlog(x: int) -> int:
-        return int(np.floor(np.log(float(x)) * s))
-
-    n_total = sum(int(r["n"]) for r in cells)
-    if n_total == 0:
-        return pa.table(
-            {
-                "n_transitions": pa.array([0], pa.int64()),
-                "n_states": pa.array([0], pa.int64()),
-                "h_cond_nats": pa.array([0.0], pa.float64()),
-                "h_prev_nats": pa.array([0.0], pa.float64()),
-            }
-        )
-    row_tot: dict = {}
-    for r in cells:
-        row_tot[r["prev_type"]] = row_tot.get(r["prev_type"], 0) + int(r["n"])
-    s_cells = sum(int(r["n"]) * qlog(int(r["n"])) for r in cells)
-    s_rows = sum(v * qlog(v) for v in row_tot.values())
-    h_cond = (float(s_rows) - float(s_cells)) / (
-        float(n_total) * float(s)
-    )
-    h_prev = (
-        float(n_total) * float(qlog(n_total)) - float(s_rows)
-    ) / (float(n_total) * float(s))
-    return pa.table(
-        {
-            "n_transitions": pa.array([n_total], pa.int64()),
-            "n_states": pa.array([len(row_tot)], pa.int64()),
-            "h_cond_nats": pa.array([h_cond], pa.float64()),
-            "h_prev_nats": pa.array([h_prev], pa.float64()),
-        }
-    )
-
-
-def transition_entropy_sql() -> str:
-    s = _MI_SCALE
-    return (
-        "WITH seq AS (\n"
-        " SELECT user_id, event_type,\n"
-        "  LEAD(event_type) OVER (PARTITION BY user_id ORDER BY ts,"
-        " event_id) AS nxt\n"
-        " FROM events\n"
-        "), c AS (\n"
-        " SELECT event_type AS prev, nxt, COUNT(*) AS n FROM seq\n"
-        " WHERE nxt IS NOT NULL GROUP BY 1, 2\n"
-        "), r AS (SELECT prev, SUM(n) AS n FROM c GROUP BY prev),\n"
-        "q AS (\n"
-        " SELECT\n"
-        f"  (SELECT SUM(CAST(n AS HUGEINT) * CAST(floor(ln(CAST(n AS"
-        f" DOUBLE)) * {s}) AS HUGEINT)) FROM c) AS s_cells,\n"
-        f"  (SELECT SUM(CAST(n AS HUGEINT) * CAST(floor(ln(CAST(n AS"
-        f" DOUBLE)) * {s}) AS HUGEINT)) FROM r) AS s_rows,\n"
-        "  (SELECT SUM(n) FROM c) AS n_total,\n"
-        "  (SELECT COUNT(*) FROM r) AS n_states\n"
-        ")\n"
-        "SELECT CAST(n_total AS BIGINT) AS n_transitions,\n"
-        " CAST(n_states AS BIGINT) AS n_states,\n"
-        " (CAST(s_rows AS DOUBLE) - CAST(s_cells AS DOUBLE))\n"
-        f"  / (CAST(n_total AS DOUBLE) * {float(s)}) AS h_cond_nats,\n"
-        " (CAST(n_total AS DOUBLE) * CAST(floor(ln(CAST(n_total AS"
-        f" DOUBLE)) * {s}) AS DOUBLE) - CAST(s_rows AS DOUBLE))\n"
-        f"  / (CAST(n_total AS DOUBLE) * {float(s)}) AS h_prev_nats\n"
-        "FROM q"
-    )

@@ -11,11 +11,10 @@ feature, the lang x source contingency table quantifies schema-level
 association, and the pair counts are the first merge step of BPE
 tokenizer training.
 
-Cross-engine float discipline (shared with zipf_slope_by_lang /
-gini_coefficient): every count accumulates as an exact integer; floats
-appear only in final expressions built from +,-,*,/ over exact-int
-casts — basic IEEE ops are correctly rounded and deterministic across
-numpy and DuckDB, unlike ln/sqrt, so value hashes match bit-for-bit.
+Cross-engine float discipline (shared with zipf_slope_by_lang): every
+count accumulates as an exact integer; floats appear only in final
+expressions built from +,-,*,/ over exact-int casts — basic IEEE ops
+are correctly rounded and deterministic across numpy and DuckDB, unlike ln/sqrt, so value hashes match bit-for-bit.
 """
 from __future__ import annotations
 

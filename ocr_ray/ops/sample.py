@@ -192,113 +192,6 @@ def token_budget_sample_sql(budget_chars: int = 8_000) -> str:
     )
 
 
-def negative_samples(orders, lineitem, n_parts: int, k: int = 5,
-                     attempts: int = 64):
-    """Deterministic implicit-feedback negative sampling: for every
-    customer, the first ``k`` hash-generated candidate parts the
-    customer has NEVER purchased — the negative-pair miner behind
-    recommender training sets, with the exclusion check done against
-    a per-key purchased set rather than a global filter.
-
-    Candidate stream per customer: cand_j = Knuth-hash(custkey, j) mod
-    n_parts + 1 for j = 0..attempts-1, scanned in j order, skipping
-    purchased parts and repeats (a customer with a huge basket may
-    yield fewer than k negatives — emitted as-is, never padded).
-
-    Scale shape: one large hash join (orders x lineitem -> distinct
-    (custkey, partkey)), then a grouped_map by customer where each
-    group's exclusion set and candidate scan are vectorized numpy; at
-    most k slim rows leave per customer.
-
-    Output: (custkey, partkey, attempt) — attempt is the j that
-    produced the candidate, pinning the scan order for the oracle.
-    """
-    from ocr_ray.ops.joins import large_join
-    from ocr_ray.stages.grouped import grouped_map
-
-    pur = large_join(
-        orders, lineitem, on="o_orderkey", right_on="l_orderkey"
-    ).select_columns(["o_custkey", "l_partkey"])
-
-    out_schema = pa.schema(
-        [
-            ("custkey", pa.int64()),
-            ("partkey", pa.int64()),
-            ("attempt", pa.int64()),
-        ]
-    )
-
-    ks = np.arange(attempts, dtype=np.uint64)
-
-    def block_fn(block: pa.Table, starts: np.ndarray) -> pa.Table:
-        n = block.num_rows
-        if n == 0 or len(starts) == 0:
-            return out_schema.empty_table()
-        cust = block.column("o_custkey").to_numpy(zero_copy_only=False)
-        part = block.column("l_partkey").to_numpy(zero_copy_only=False)
-        ends = np.append(starts[1:], n)
-        c_o, p_o, a_o = [], [], []
-        for s, e in zip(starts, ends):
-            c = int(cust[s])
-            purchased = set(part[s:e].tolist())
-            cands = (
-                (np.uint64(c) * np.uint64(2654435761) + ks * np.uint64(40503))
-                & np.uint64(0xFFFFFFFF)
-            ) % np.uint64(n_parts) + np.uint64(1)
-            seen: set[int] = set()
-            taken = 0
-            for j, cd in enumerate(cands.tolist()):
-                if taken >= k:
-                    break
-                if cd in purchased or cd in seen:
-                    continue
-                seen.add(cd)
-                c_o.append(c)
-                p_o.append(int(cd))
-                a_o.append(j)
-                taken += 1
-        return pa.table(
-            {
-                "custkey": pa.array(c_o, pa.int64()),
-                "partkey": pa.array(p_o, pa.int64()),
-                "attempt": pa.array(a_o, pa.int64()),
-            }
-        )
-
-    return grouped_map(pur, ["o_custkey"], block_fn)
-
-
-def negative_samples_sql(k: int = 5, attempts: int = 64) -> str:
-    return (
-        "WITH pur AS (\n"
-        " SELECT DISTINCT o_custkey AS c, l_partkey AS p\n"
-        " FROM orders JOIN lineitem ON l_orderkey = o_orderkey\n"
-        "), cust AS (SELECT DISTINCT c FROM pur),\n"
-        "np AS (SELECT COUNT(*) AS n FROM part),\n"
-        "cand AS (\n"
-        f" SELECT c, unnest(generate_series(0, {attempts - 1})) AS j\n"
-        " FROM cust\n"
-        "), hashed AS (\n"
-        " SELECT cand.c, j,\n"
-        "  ((cand.c * 2654435761 + j * 40503) % 4294967296) % np.n + 1 AS cd\n"
-        " FROM cand, np\n"
-        "), ok AS (\n"
-        " SELECT h.c, h.j, h.cd FROM hashed h\n"
-        " LEFT JOIN pur ON pur.c = h.c AND pur.p = h.cd\n"
-        " WHERE pur.p IS NULL\n"
-        "), ded AS (\n"
-        " SELECT c, cd, MIN(j) AS j FROM ok GROUP BY 1, 2\n"
-        "), rk AS (\n"
-        " SELECT c, cd, j,\n"
-        "  ROW_NUMBER() OVER (PARTITION BY c ORDER BY j) AS rn\n"
-        " FROM ded\n"
-        ")\n"
-        "SELECT c AS custkey, CAST(cd AS BIGINT) AS partkey,\n"
-        " CAST(j AS BIGINT) AS attempt\n"
-        f"FROM rk WHERE rn <= {k}"
-    )
-
-
 def mixture_waterfill(docs, budget_tokens: int | None = None):
     """Uniform-target water-filling allocation of a token budget across
     sources: every source gets the common water level L (integer) up to

@@ -530,108 +530,6 @@ def fold_balance_sql(k: int = 5) -> str:
     )
 
 
-def target_encoding_folds(events, k: int = 5):
-    """Leakage-free (leave-fold-out) target encoding of event_type by
-    value cents: fold = Knuth-hash(user_id) mod k (ENTITY-keyed, so a
-    user's own events never leak into the encoding their fold sees),
-    and the encoding for (type, fold) is the mean cents of that type
-    computed over the OTHER k-1 folds — the standard mean-encoding
-    recipe for categorical features that avoids target leakage.
-
-    One map-side (type, fold) partial sum + one tiny keyed aggregate
-    (k x #types rows); the leave-one-out arithmetic folds driver-side
-    in exact integers, the single float division mirrored by the
-    oracle.
-
-    Output: (event_type, fold, n_in_fold, n_rest, enc_cents).
-    """
-    from ray.data.aggregate import Sum
-
-    from ocr_ray.driver import _cents
-
-    def partials(batch: pa.Table) -> pa.Table:
-        ids = batch.column("user_id").to_numpy(
-            zero_copy_only=False
-        ).astype(np.int64)
-        fold = ((ids.astype(np.uint64) * _KNUTH) & _M32) % np.uint64(k)
-        t = pa.table(
-            {
-                "event_type": batch.column("event_type"),
-                "fold": pa.array(fold.astype(np.int64), pa.int64()),
-                "n": pa.array(np.ones(len(ids), np.int64), pa.int64()),
-                "cents": _cents(batch["value"]),
-            }
-        )
-        g = t.group_by(["event_type", "fold"]).aggregate(
-            [("n", "sum"), ("cents", "sum")]
-        )
-        return pa.table(
-            {
-                "event_type": g["event_type"],
-                "fold": g["fold"],
-                "n": pc.cast(g["n_sum"], pa.int64()),
-                "cents": pc.cast(g["cents_sum"], pa.int64()),
-            }
-        )
-
-    cells = (
-        events.map_batches(partials, batch_format="pyarrow")
-        .groupby(["event_type", "fold"])
-        .aggregate(Sum("n", alias_name="n"), Sum("cents", alias_name="cents"))
-    ).take_all()  # bounded: k x #types rows
-
-    by_type: dict[str, tuple[int, int]] = {}
-    for r in cells:
-        n_t, s_t = by_type.get(r["event_type"], (0, 0))
-        by_type[r["event_type"]] = (n_t + int(r["n"]), s_t + int(r["cents"]))
-
-    typ_o, fold_o, nf_o, nr_o, enc_o = [], [], [], [], []
-    for r in sorted(cells, key=lambda r: (r["event_type"], int(r["fold"]))):
-        n_t, s_t = by_type[r["event_type"]]
-        n_rest = n_t - int(r["n"])
-        s_rest = s_t - int(r["cents"])
-        typ_o.append(r["event_type"])
-        fold_o.append(int(r["fold"]))
-        nf_o.append(int(r["n"]))
-        nr_o.append(n_rest)
-        enc_o.append(
-            float(s_rest) / float(n_rest) if n_rest > 0 else 0.0
-        )
-    return pa.table(
-        {
-            "event_type": pa.array(typ_o, pa.string()),
-            "fold": pa.array(fold_o, pa.int64()),
-            "n_in_fold": pa.array(nf_o, pa.int64()),
-            "n_rest": pa.array(nr_o, pa.int64()),
-            "enc_cents": pa.array(enc_o, pa.float64()),
-        }
-    )
-
-
-def target_encoding_folds_sql(k: int = 5) -> str:
-    return (
-        "WITH f AS (\n"
-        f" SELECT event_type,"
-        f" ((user_id * 2654435761) % 4294967296) % {k} AS fold,\n"
-        "  CAST(ROUND(value * 100.0) AS BIGINT) AS cents\n"
-        " FROM events\n"
-        "), cells AS (\n"
-        " SELECT event_type, fold, COUNT(*) AS n, SUM(cents) AS s\n"
-        " FROM f GROUP BY 1, 2\n"
-        "), tot AS (\n"
-        " SELECT event_type, SUM(n) AS n_t, SUM(s) AS s_t\n"
-        " FROM cells GROUP BY 1\n"
-        ")\n"
-        "SELECT c.event_type, CAST(c.fold AS BIGINT) AS fold,\n"
-        " CAST(c.n AS BIGINT) AS n_in_fold,\n"
-        " CAST(t.n_t - c.n AS BIGINT) AS n_rest,\n"
-        " CASE WHEN t.n_t - c.n > 0 THEN\n"
-        "  CAST(t.s_t - c.s AS DOUBLE) / CAST(t.n_t - c.n AS DOUBLE)\n"
-        " ELSE 0.0 END AS enc_cents\n"
-        "FROM cells c JOIN tot t USING (event_type)"
-    )
-
-
 def neyman_allocation(docs, budget: int = 1000):
     """Neyman-optimal stratified sample allocation over sources:
     stratum weight w_s = N_s·σ_s computed EXACTLY as

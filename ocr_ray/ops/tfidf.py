@@ -144,7 +144,7 @@ def unigram_logprob(docs, scale: int = 1_000_000):
     score(d) = Σ_{w∈d} tf(w,d) · qlog(n_w / N) where n_w is the corpus
     count of w, N the corpus token count, and qlog quantizes each log to
     an integer (``floor(ln(p)·scale)``, the bit-verified trick shared
-    with ``zipf_slope_by_lang`` / ``user_event_entropy``) so the big sum
+    with ``zipf_slope_by_lang``) so the big sum
     is EXACT int64 and order-free; the per-doc average is the one shared
     IEEE float.
 

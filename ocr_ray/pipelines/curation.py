@@ -1111,6 +1111,25 @@ class _Stage1Fused(_ScoreStage):
         )
 
 
+def _wave_part_map(partitions, wave) -> dict[str, int]:
+    """Input path → partition index for one wave's files, keyed by the
+    full path and by the basename (the ``include_paths`` column may
+    carry either form). A basename shared across partitions would route
+    rows to the wrong partition, so it is rejected."""
+    part_map: dict[str, int] = {}
+    for k in wave:
+        for f in partitions[k]:
+            part_map[f] = k
+            base = _os.path.basename(f)
+            if part_map.setdefault(base, k) != k:
+                raise ValueError(
+                    f"duplicate input basename {base!r} across "
+                    "partitions — include_paths routing needs "
+                    "unique paths"
+                )
+    return part_map
+
+
 def _read_parquet_dir(path, columns=None):
     import ray.data as rd
 
@@ -1356,18 +1375,7 @@ def run_curation_checkpointed(
         for w0 in range(0, len(pending), wave_cap):
             wave = pending[w0 : w0 + wave_cap]
             files = [f for k in wave for f in partitions[k]]
-            part_map: dict[str, int] = {}
-            for k in wave:
-                for f in partitions[k]:
-                    part_map[f] = k
-                    base = _os.path.basename(f)
-                    if part_map.setdefault(base, k) != k:
-                        raise ValueError(
-                            f"duplicate input basename {base!r} across "
-                            "partitions — include_paths routing needs "
-                            "unique paths"
-                        )
-            part_map_ref = ray.put(part_map)
+            part_map_ref = ray.put(_wave_part_map(partitions, wave))
             docs = _rd.read_parquet(
                 files, columns=["doc_id", "text"], include_paths=True
             )
@@ -1735,11 +1743,7 @@ def run_curation_checkpointed(
         for w0 in range(0, len(pending_t), wave_cap):
             wave = pending_t[w0 : w0 + wave_cap]
             files = [f for k in wave for f in partitions[k]]
-            part_map = {}
-            for k in wave:
-                for f in partitions[k]:
-                    part_map[f] = k
-                    part_map.setdefault(_os.path.basename(f), k)
+            part_map = _wave_part_map(partitions, wave)
             # directory-level pruning: only assignment buckets that
             # intersect some wave partition's doc_id range are read;
             # the wave's survivor set is one bounded sorted array

@@ -131,12 +131,16 @@ def _patch_http_fs_probe_for_threads() -> None:
     which Ray does not catch. Either exception means the same thing —
     no fsspec HTTP filesystem is available — so wrap the probe to
     answer False for both. Idempotent."""
-    try:  # pragma: no cover - depends on Ray internals being present
+    from ocr_ray.context import missing_ray_symbol
+
+    try:
         import ray.data.datasource.path_util as pu
-    except ImportError:
-        return
+    except ImportError as e:
+        raise missing_ray_symbol("ray.data.datasource.path_util") from e
     probe = getattr(pu, "_is_http_filesystem", None)
-    if probe is None or getattr(probe, "_ocr_ray_safe", False):
+    if probe is None:
+        raise missing_ray_symbol("path_util._is_http_filesystem")
+    if getattr(probe, "_ocr_ray_safe", False):
         return
 
     def safe_probe(fs):

@@ -1,73 +1,8 @@
-"""attribution_linear_1h vs a brute pair expansion; embedding Gram
-moments vs a dense numpy reference."""
+"""Embedding Gram moments vs a dense numpy reference."""
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-
-HOUR = 3_600_000_000
-
-
-def _brute_attribution(rows, scale=1_000_000):
-    """rows: (user, ts_us, type). Returns {type: (n_touches, credit)}."""
-    out = {}
-    for u, ts, ty in rows:
-        if ty != "purchase":
-            continue
-        touches = [
-            (u2, t2, ty2)
-            for (u2, t2, ty2) in rows
-            if u2 == u and ty2 != "purchase" and ts - HOUR <= t2 < ts
-        ]
-        n = len(touches)
-        for _, _, ty2 in touches:
-            tot, cr = out.get(ty2, (0, 0))
-            out[ty2] = (tot + 1, cr + scale // n)
-    return out
-
-
-def test_attribution_linear(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.asof import attribution_linear_1h
-
-    m = 60_000_000
-    rows = [
-        # user 1: two touches inside the hour, one outside, one at t==p
-        (1, 0 * m, "view"),
-        (1, 30 * m, "click"),
-        (1, 65 * m, "view"),       # outside [p-1h, p) for p=61min? no: 65>61
-        (1, 61 * m, "purchase"),   # touches: view@0? 61-60=1min → no; click@30 yes
-        (1, 61 * m, "click"),      # same-ts touch must NOT count
-        # user 2: purchase with no touches
-        (2, 10 * m, "purchase"),
-        # user 3: three touches, one purchase
-        (3, 5 * m, "view"),
-        (3, 6 * m, "view"),
-        (3, 7 * m, "click"),
-        (3, 8 * m, "purchase"),
-        # user 4: touch then a later second purchase window overlap
-        (4, 0 * m, "click"),
-        (4, 30 * m, "purchase"),
-        (4, 50 * m, "purchase"),   # click@0 still within [“-10min”, 50)
-    ]
-    t = pa.table(
-        {
-            "user_id": pa.array([r[0] for r in rows], pa.int64()),
-            "ts": pa.array([r[1] for r in rows], pa.timestamp("us")),
-            "event_type": pa.array([r[2] for r in rows], pa.string()),
-        }
-    )
-    got = {
-        r.event_type: (int(r.n_touches), int(r.credit))
-        for r in attribution_linear_1h(rd.from_arrow(t))
-        .to_pandas()
-        .itertuples()
-    }
-    want = _brute_attribution(rows)
-    assert got == want
-    # sanity on the hand case: user-1 click@30 counted, same-ts not
-    assert want["click"][0] >= 2
 
 
 def test_embedding_gram(ray_session):

@@ -1,4 +1,4 @@
-"""char_dup_coverage / compaction_plan / diurnal_trend_by_type."""
+"""char_dup_coverage / compaction_plan."""
 from __future__ import annotations
 
 import numpy as np
@@ -75,48 +75,3 @@ def test_compaction_plan_vs_duckdb(ray_session):
     assert got.astype("int64").equals(want.astype("int64"))
     # every chunk except possibly the last crosses the 64 KiB target
     assert (got["bytes"].iloc[:-1].to_numpy() >= 1).all()
-
-
-def test_diurnal_trend_vs_duckdb(ray_session):
-    import duckdb
-    import ray.data as rd
-
-    import __ray_entry__ as e
-    from ocr_ray.ops.profile import diurnal_trend_by_type
-
-    rng = np.random.default_rng(13)
-    n = 4000
-    events = pa.table(
-        {
-            "ts": pa.array(
-                rng.integers(0, 30 * 86_400, n) * 1_000_000,
-                pa.timestamp("us"),
-            ),
-            "event_type": pa.array(
-                rng.choice(["x", "y"], n).tolist(), pa.string()
-            ),
-            "value": pa.array(
-                np.round(rng.uniform(0.01, 99.99, n), 2), pa.float64()
-            ),
-        }
-    )
-    got = (
-        diurnal_trend_by_type(rd.from_arrow(events).repartition(4))
-        .to_pandas()
-        .sort_values("event_type")
-        .reset_index(drop=True)
-    )
-    con = duckdb.connect()
-    con.register("events", events)
-    want = (
-        con.execute(
-            e.oracle_sql()["diurnal_value_trend"] + " ORDER BY event_type"
-        )
-        .df()
-        .reset_index(drop=True)
-    )
-    assert (got["n"].to_numpy() == want["n"].to_numpy()).all()
-    assert (got["slope"].to_numpy() == want["slope"].to_numpy()).all()
-    assert (
-        got["intercept"].to_numpy() == want["intercept"].to_numpy()
-    ).all()

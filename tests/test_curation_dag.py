@@ -277,3 +277,70 @@ def test_runner_incremental_fingerprints(ray_session, corpus_dir, tmp_path):
     for f in (out1 / "fingerprints").rglob("*.parquet"):
         old |= set(pq.read_table(f).column("fp").to_pylist())
     assert old <= fps and len(fps) == len(old) + 1
+
+
+def test_text_stage_rejects_shared_basename(ray_session, tmp_path,
+                                            monkeypatch):
+    """Two partitions whose files share a basename: the score stage,
+    run one partition per wave, never sees both in one wave and commits
+    both artifacts. The resumed run skips scoring and puts both
+    partitions into one text wave, which must refuse the ambiguous
+    routing exactly as the score stage does."""
+    from ocr_ray import io as _io
+    from ocr_ray.pipelines.curation import (
+        CurationConfig,
+        run_curation_checkpointed,
+    )
+
+    t = _corpus()
+    files = []
+    for i, part in enumerate((t.slice(0, 7), t.slice(7))):
+        d = tmp_path / f"in{i}"
+        d.mkdir()
+        pq.write_table(part, d / "part.parquet")
+        files.append(str(d / "part.parquet"))
+    monkeypatch.setattr(_io, "input_files", lambda path: list(files))
+
+    out = tmp_path / "run"
+    src = str(tmp_path / "in0")
+    m = run_curation_checkpointed(
+        src, str(out), CurationConfig(partitions_per_launch=1),
+        stop_after_stage="score",
+    )
+    assert m["partitions_run"]["score"] == 2
+
+    with pytest.raises(ValueError, match="duplicate input basename"):
+        run_curation_checkpointed(
+            src, str(out), CurationConfig(partitions_per_launch=2)
+        )
+    for k in (0, 1):
+        assert (out / "_manifests" / f"score-part={k:05d}.json").exists()
+
+
+def test_pq_minmax_scans_files_without_statistics(tmp_path):
+    """_pq_minmax reads row-group statistics when the writer kept them
+    and scans the column when it did not; the extremes here sit only in
+    the stats-less file, so a stats-only reader would get them wrong."""
+    from ocr_ray.pipelines.curation import _pq_minmax
+
+    pq.write_table(
+        pa.table({"doc_id": pa.array([50, 60, 70], pa.int64())}),
+        tmp_path / "with-stats.parquet",
+    )
+    sub = tmp_path / "bucket=1"
+    sub.mkdir()
+    pq.write_table(
+        pa.table({"doc_id": pa.array([900, -5, 55, None, 12], pa.int64())}),
+        sub / "no-stats.parquet",
+        write_statistics=False,
+        row_group_size=2,
+    )
+    md = pq.ParquetFile(sub / "no-stats.parquet").metadata
+    assert md.num_row_groups == 3
+    assert not any(
+        md.row_group(i).column(0).statistics is not None
+        and md.row_group(i).column(0).statistics.has_min_max
+        for i in range(md.num_row_groups)
+    )
+    assert _pq_minmax(tmp_path, "doc_id") == (-5, 900)
+    assert _pq_minmax(sub, "doc_id") == (-5, 900)

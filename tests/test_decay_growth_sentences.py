@@ -1,85 +1,7 @@
-"""attribution_time_decay / weekly_event_growth / sentence_length_hist."""
+"""sentence_length_hist."""
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
-
-
-def _ts(seconds):
-    return pa.array([int(s) * 1_000_000 for s in seconds], pa.timestamp("us"))
-
-
-def test_attribution_time_decay_buckets(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.asof import attribution_time_decay
-
-    # purchase at t=1000s; clicks at 400s (Δ=600 → bucket 0, w=1048576),
-    # 0s (Δ=1000 → bucket 1, w=524288), 100s exactly Δ=900 → bucket 1;
-    # a click 3600s before is outside the strict window; one after the
-    # purchase earns nothing
-    events = pa.table(
-        {
-            "user_id": pa.array([1] * 6, pa.int64()),
-            "ts": _ts([400, 0, 100, -2600, 2000, 1000]),
-            "event_type": pa.array(
-                ["click", "click", "click", "click", "click", "purchase"],
-                pa.string(),
-            ),
-        }
-    )
-    out = attribution_time_decay(rd.from_arrow(events)).to_pandas()
-    row = out[out.event_type == "click"].iloc[0]
-    assert row.n_touches == 3
-    assert row.credit == 1048576 + 524288 + 524288
-
-
-def test_weekly_event_growth_truncating_division(ray_session):
-    import ray.data as rd
-
-    from ocr_ray import driver as drv
-
-    week = 7 * 86_400
-    events = pa.table(
-        {
-            "ts": _ts(
-                [0, 1, week, week + 1, week + 2, 2 * week]
-            ),  # counts: w0=2, w1=3, w2=1
-            "event_type": pa.array(["a"] * 6, pa.string()),
-        }
-    )
-    import duckdb
-
-    con = duckdb.connect()
-    con.register("events", events)
-    import __ray_entry__ as e
-
-    want = (
-        con.execute(
-            e.oracle_sql()["weekly_event_growth"] + " ORDER BY week_idx"
-        )
-        .df()
-        .reset_index(drop=True)
-    )
-    # truncation: (1-3)*1e6 // 3 must be -666666 (toward zero), not
-    # numpy floor's -666667
-    assert list(want.growth_millionths) == [500000, -666666]
-
-    import os
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as d:
-        import pyarrow.parquet as pq
-
-        pq.write_table(events, os.path.join(d, "events.parquet"))
-        got = (
-            drv.QUERIES["weekly_event_growth"](d)
-            .to_pandas()
-            .sort_values("week_idx")
-            .reset_index(drop=True)
-        )
-    assert list(got.growth_millionths) == [500000, -666666]
-    assert list(got.n_events) == [3, 1]
 
 
 def test_sentence_length_hist_hand(ray_session):

@@ -6,7 +6,6 @@ attach_pair_payloads' empty-side fallback ('NoneType' has no attribute
 from __future__ import annotations
 
 import pyarrow as pa
-import pytest
 
 
 def _empty_docs():
@@ -20,36 +19,10 @@ def _empty_docs():
 
 def test_pair_ops_on_empty_corpus(ray_session):
     from ocr_ray.ops.dedup import ngram_containment_pairs
-    from ocr_ray.ops.strsim import (
-        doc_cosine_pairs_sparse,
-        fuzzy_word_pairs,
-        word_variant_clusters,
-    )
+    from ocr_ray.ops.strsim import doc_cosine_pairs_sparse
 
-    for fn in (
-        fuzzy_word_pairs,
-        doc_cosine_pairs_sparse,
-        word_variant_clusters,
-        ngram_containment_pairs,
-    ):
+    for fn in (doc_cosine_pairs_sparse, ngram_containment_pairs):
         assert fn(_empty_docs()).take_all() == [], fn.__name__
-
-
-def test_kmv_on_empty_events(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.sketch import kmv_distinct, kmv_overlap, kmv_registers
-
-    empty = rd.from_arrow(
-        pa.schema([("user_id", pa.int64()), ("event_type", pa.string())])
-        .empty_table()
-    )
-    assert kmv_registers(empty, "user_id").take_all() == []
-    assert kmv_distinct(empty, "user_id").to_pylist() == [
-        {"kmv_estimate": 0.0, "kth_hash": -1, "n_regs": 0}
-    ]
-    row = kmv_overlap(empty, "user_id", "event_type", "a", "b").to_pylist()[0]
-    assert row["n_union_regs"] == 0 and row["jaccard_est"] == 0.0
 
 
 def test_adaptive_join_empty_schemaless_sides(ray_session):
@@ -80,61 +53,11 @@ def test_adaptive_join_empty_schemaless_sides(ray_session):
     ).take_all() == []
 
 
-def _empty_events():
-    import ray.data as rd
-
-    return rd.from_arrow(
-        pa.schema(
-            [
-                ("event_id", pa.int64()),
-                ("ts", pa.timestamp("us")),
-                ("user_id", pa.int64()),
-                ("event_type", pa.string()),
-                ("value", pa.float64()),
-            ]
-        ).empty_table()
-    )
-
-
-def test_continuation_ops_on_empty_events(ray_session):
-    from ocr_ray.ops.bitmap import type_cooccurrence_bitmap
-    from ocr_ray.ops.series import autocorr_daily, dau_jaccard
-    from ocr_ray.ops.sketch import quantile_sketch, quantile_sketch_violations
-    from ocr_ray.ops.stats import (
-        daily_value_band,
-        salted_user_totals,
-    )
-    from ocr_ray.ops.windows import (
-        daily_value_ohlc,
-        debounced_event_counts,
-        latest_event_per_user,
-    )
-
-    e = _empty_events()
-    assert type_cooccurrence_bitmap(e).take_all() == []
-    assert autocorr_daily(e).num_rows == 0
-    assert dau_jaccard(e).take_all() == []
-    assert daily_value_band(e).take_all() == []
-    assert salted_user_totals(e).take_all() == []
-    assert daily_value_ohlc(e).take_all() == []
-    assert debounced_event_counts(e).take_all() == []
-    assert latest_event_per_user(e).take_all() == []
-    ests, total = quantile_sketch(e)
-    assert ests == [] and total == 0
-    assert quantile_sketch_violations(e).num_rows == 0
-
-
 def test_continuation_ops_on_empty_docs_and_tables(ray_session):
     import ray.data as rd
 
-    from ocr_ray.ops.forget import forget_customers
-    from ocr_ray.ops.intervals import order_gap_hist
-    from ocr_ray.ops.privacy import l_diversity_audit
     from ocr_ray.ops.split import fold_balance
-    from ocr_ray.ops.stats import (
-        ks_by_group,
-        weighted_median_price_by_flag,
-    )
+    from ocr_ray.ops.stats import ks_by_group
     from ocr_ray.ops.tfidf import hashed_bow
 
     docs = rd.from_arrow(
@@ -151,48 +74,3 @@ def test_continuation_ops_on_empty_docs_and_tables(ray_session):
     assert hashed_bow(docs).take_all() == []
     assert ks_by_group(docs).num_rows == 0
     assert fold_balance(docs).num_rows == 0
-
-    cust = rd.from_arrow(
-        pa.schema(
-            [
-                ("c_custkey", pa.int64()),
-                ("c_nationkey", pa.int32()),
-                ("c_mktsegment", pa.string()),
-                ("c_acctbal", pa.float64()),
-            ]
-        ).empty_table()
-    )
-    assert l_diversity_audit(cust).num_rows == 0
-
-    orders = rd.from_arrow(
-        pa.schema(
-            [
-                ("o_orderkey", pa.int64()),
-                ("o_custkey", pa.int64()),
-                ("o_orderdate", pa.timestamp("us")),
-            ]
-        ).empty_table()
-    )
-    lineitem = rd.from_arrow(
-        pa.schema(
-            [
-                ("l_orderkey", pa.int64()),
-                ("l_linenumber", pa.int64()),
-            ]
-        ).empty_table()
-    )
-    assert order_gap_hist(orders).take_all() == []
-    audit = forget_customers(cust, orders, lineitem).to_pydict()
-    assert audit["n_deleted"] == [0, 0, 0]
-    assert audit["n_remaining"] == [0, 0, 0]
-
-    li = rd.from_arrow(
-        pa.schema(
-            [
-                ("l_returnflag", pa.string()),
-                ("l_extendedprice", pa.float64()),
-                ("l_quantity", pa.float64()),
-            ]
-        ).empty_table()
-    )
-    assert weighted_median_price_by_flag(li).take_all() == []

@@ -1,78 +1,8 @@
-"""events_ewma_daily / token_budget_sample."""
+"""token_budget_sample."""
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-
-
-def test_events_ewma_daily_hand(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.series import events_ewma_daily
-
-    day = 86_400_000_000
-    events = pa.table(
-        {
-            "ts": pa.array([0, 2 * day], pa.timestamp("us")),
-            "event_type": pa.array(["a", "a"], pa.string()),
-            "value": pa.array([1.0, 4.0], pa.float64()),
-        }
-    )
-    out = (
-        events_ewma_daily(rd.from_arrow(events))
-        .to_pandas()
-        .sort_values("day_idx")
-        .reset_index(drop=True)
-    )
-    S = 1 << 20
-    # day0: 100 cents → 100·S; day1: gap → 100·S/2; day2: 400 + decay
-    assert list(out.day_cents) == [100, 0, 400]
-    assert list(out.ewma_scaled) == [
-        100 * S,
-        100 * (S >> 1),
-        400 * S + 100 * (S >> 2),
-    ]
-
-
-def test_events_ewma_daily_vs_duckdb(ray_session):
-    import duckdb
-    import ray.data as rd
-
-    from ocr_ray.ops.series import events_ewma_daily, events_ewma_daily_sql
-
-    rng = np.random.default_rng(47)
-    n = 3000
-    events = pa.table(
-        {
-            "ts": pa.array(
-                rng.integers(0, 40 * 86_400, n) * 1_000_000,
-                pa.timestamp("us"),
-            ),
-            "event_type": pa.array(
-                rng.choice(["a", "b", "c"], n).tolist(), pa.string()
-            ),
-            "value": pa.array(
-                np.round(rng.uniform(0.01, 99.99, n), 2), pa.float64()
-            ),
-        }
-    )
-    got = (
-        events_ewma_daily(rd.from_arrow(events).repartition(4))
-        .to_pandas()
-        .sort_values(["event_type", "day_idx"])
-        .reset_index(drop=True)
-    )
-    con = duckdb.connect()
-    con.register("events", events)
-    want = (
-        con.execute(
-            events_ewma_daily_sql() + " ORDER BY event_type, day_idx"
-        )
-        .df()
-        .reset_index(drop=True)
-    )
-    for c in ["day_idx", "day_cents", "ewma_scaled"]:
-        assert got[c].astype("int64").equals(want[c].astype("int64")), c
 
 
 def test_token_budget_sample_vs_duckdb(ray_session):

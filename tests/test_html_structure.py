@@ -1,9 +1,7 @@
-"""HTML table/link structure extraction and the order-gap histogram."""
+"""HTML table/link structure extraction."""
 from __future__ import annotations
 
-import datetime as dt
 
-import numpy as np
 import pyarrow as pa
 
 
@@ -87,38 +85,3 @@ def test_html_table_cells_and_link_violations(ray_session):
 
     viol = html_link_violations(ds).to_pandas()
     assert len(viol) == 0  # d2 has no html spans, so no planted-nav rule
-
-
-def test_order_gap_hist(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.intervals import order_gap_hist
-
-    t0 = dt.datetime(2024, 1, 1)
-    rows = [
-        # cust 1: days 0, 3, 3, 10 -> gaps 3, 0, 7
-        (1, t0, 101), (1, t0 + dt.timedelta(days=3), 102),
-        (1, t0 + dt.timedelta(days=3), 103),
-        (1, t0 + dt.timedelta(days=10), 104),
-        # cust 2: single order -> no gap
-        (2, t0 + dt.timedelta(days=5), 201),
-        # cust 3: days 1, 4 -> gap 3
-        (3, t0 + dt.timedelta(days=1), 301),
-        (3, t0 + dt.timedelta(days=4), 302),
-    ]
-    t = pa.table(
-        {
-            "o_custkey": pa.array([r[0] for r in rows], pa.int64()),
-            "o_orderdate": pa.array(
-                [r[1] for r in rows], pa.timestamp("us")
-            ),
-            "o_orderkey": pa.array([r[2] for r in rows], pa.int64()),
-        }
-    )
-    got = (
-        order_gap_hist(rd.from_arrow(t).repartition(3))
-        .to_pandas()
-        .set_index("gap_days")["n_pairs"]
-        .to_dict()
-    )
-    assert got == {0: 1, 3: 2, 7: 1}

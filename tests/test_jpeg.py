@@ -27,6 +27,8 @@ def test_is_jpeg_and_dims():
     assert jpeg_dims(_read("baseline_444_dri_720x477.jpg")) == (720, 477)
     # header dims work for progressive too (no entropy decode)
     assert jpeg_dims(_read("progressive_720x477.jpg")) == (720, 477)
+    with pytest.raises(ValueError, match="corrupt JPEG"):
+        jpeg_dims(d[:4])
 
 
 def test_decode_baseline_420_against_known_content():
@@ -115,9 +117,12 @@ def test_roundtrip_noise_psnr():
 def test_decode_any_image_jpeg_and_progressive_none():
     from ocr_ray.ops.multimodal import decode_any_image
 
-    img = decode_any_image(_read("baseline_420_16x16.jpg"))
+    jpeg = _read("baseline_420_16x16.jpg")
+    img = decode_any_image(jpeg)
     assert img is not None and img.shape == (16, 16, 3)
     assert decode_any_image(_read("progressive_720x477.jpg")) is None
+    # truncated inside the first segment header: corrupt, not a crash
+    assert decode_any_image(jpeg[:4]) is None
 
 
 def test_decode_media_jpeg_paths(ray_session):

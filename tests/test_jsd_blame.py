@@ -1,13 +1,10 @@
-"""unigram_js_divergence extremes and waiting_orders_suppliers
-(Q21-shape) hand oracle."""
+"""unigram_js_divergence extremes."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 
 def test_jsd_extremes(ray_session):
@@ -41,66 +38,3 @@ def test_jsd_extremes(ray_session):
     assert int(out[("B", "C")]) > 0
     # symmetry of the pair key: only a < b pairs emitted
     assert ("B", "A") not in out.index
-
-
-def test_waiting_orders_suppliers_hand(ray_session, tmp_path):
-    from ocr_ray.driver import q_waiting_orders_suppliers
-
-    day_us = 86_400_000_000
-    t0 = 1_000_000 * day_us
-
-    def ts(days):
-        return t0 + days * day_us
-
-    # order 1: suppliers 10,20 — only 10 late → 10 blamed
-    # order 2: suppliers 10,20 — both late → nobody blamed
-    # order 3: single supplier 30 late → excluded (ns < 2)
-    # order 4: suppliers 20,30 — none late → excluded
-    # order 5: suppliers 20,30,40 — only 20 late (two late LINES, one
-    #          late supplier) → 20 blamed
-    li_rows = [
-        (1, 10, 200), (1, 20, 5),
-        (2, 10, 120), (2, 20, 150),
-        (3, 30, 400),
-        (4, 20, 10), (4, 30, 20),
-        (5, 20, 100), (5, 20, 300), (5, 30, 5), (5, 40, 90),
-    ]
-    li = pa.table(
-        {
-            "l_orderkey": pa.array([r[0] for r in li_rows], pa.int64()),
-            "l_suppkey": pa.array([r[1] for r in li_rows], pa.int64()),
-            "l_shipdate": pa.array(
-                [ts(r[2]) for r in li_rows], pa.timestamp("us")
-            ),
-        }
-    )
-    orders = pa.table(
-        {
-            "o_orderkey": pa.array([1, 2, 3, 4, 5], pa.int64()),
-            "o_orderdate": pa.array([t0] * 5, pa.timestamp("us")),
-        }
-    )
-    supp = pa.table(
-        {
-            "s_suppkey": pa.array([10, 20, 30, 40], pa.int64()),
-            "s_name": pa.array(["s10", "s20", "s30", "s40"]),
-        }
-    )
-    pq.write_table(li, tmp_path / "lineitem.parquet")
-    pq.write_table(orders, tmp_path / "orders.parquet")
-    pq.write_table(supp, tmp_path / "supplier.parquet")
-
-    df = (
-        q_waiting_orders_suppliers(str(tmp_path))
-        .to_pandas()
-        .sort_values("s_suppkey")
-        .reset_index(drop=True)
-    )
-    expect = pd.DataFrame(
-        {
-            "s_suppkey": [10, 20],
-            "s_name": ["s10", "s20"],
-            "n_orders": [1, 1],
-        }
-    )
-    pd.testing.assert_frame_equal(df, expect)

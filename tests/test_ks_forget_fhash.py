@@ -1,6 +1,5 @@
-"""KS drift gate, deletion-propagation audit, and feature-hashing BoW
-vs hand oracles (scipy-free exact KS; brute-force cascade; per-token
-md5 replay)."""
+"""KS drift gate and feature-hashing BoW vs hand oracles (scipy-free
+exact KS; per-token md5 replay)."""
 from __future__ import annotations
 
 import hashlib
@@ -65,67 +64,6 @@ def test_ks_single_group_empty_complement(ray_session):
     )
     got = ks_by_group(rd.from_arrow(t)).to_pandas()
     assert len(got) == 0  # KS vs empty rest is undefined, row dropped
-
-
-def test_forget_customers_cascade(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.forget import CHECKSUM_P, forget_customers
-
-    rng = np.random.RandomState(11)
-    custkeys = np.arange(1, 301, dtype=np.int64)
-    o_orderkey = np.arange(1, 1001, dtype=np.int64)
-    o_custkey = rng.choice(custkeys, size=1000).astype(np.int64)
-    # lineitems: 1-4 lines per random order
-    l_ok, l_ln = [], []
-    for ok in rng.choice(o_orderkey, size=700):
-        for ln in range(1, int(rng.randint(1, 5)) + 1):
-            l_ok.append(int(ok))
-            l_ln.append(ln)
-    customer = rd.from_arrow(pa.table({"c_custkey": pa.array(custkeys)}))
-    orders = rd.from_arrow(
-        pa.table(
-            {"o_orderkey": pa.array(o_orderkey), "o_custkey": pa.array(o_custkey)}
-        )
-    )
-    lineitem = rd.from_arrow(
-        pa.table(
-            {
-                "l_orderkey": pa.array(l_ok, pa.int64()),
-                "l_linenumber": pa.array(l_ln, pa.int64()),
-            }
-        )
-    )
-    mod = 7
-    got = (
-        forget_customers(customer, orders, lineitem, mod=mod)
-        .to_pandas()
-        .set_index("table_name")
-    )
-
-    # brute-force oracle
-    del_cust = set(int(c) for c in custkeys if c % mod == 0)
-    del_orders = set(
-        int(ok) for ok, ck in zip(o_orderkey, o_custkey) if int(ck) in del_cust
-    )
-    c_rem = [int(c) for c in custkeys if int(c) not in del_cust]
-    o_rem = [int(ok) for ok in o_orderkey if int(ok) not in del_orders]
-    li_keys = [ok * 16 + ln for ok, ln in zip(l_ok, l_ln)]
-    li_del = [k for k, ok in zip(li_keys, l_ok) if ok in del_orders]
-    li_rem = [k for k, ok in zip(li_keys, l_ok) if ok not in del_orders]
-
-    def chk(keys):
-        return sum(k % CHECKSUM_P for k in keys) % CHECKSUM_P
-
-    assert int(got.loc["customer", "n_deleted"]) == len(del_cust)
-    assert int(got.loc["customer", "n_remaining"]) == len(c_rem)
-    assert int(got.loc["customer", "remaining_checksum"]) == chk(c_rem)
-    assert int(got.loc["orders", "n_deleted"]) == len(del_orders)
-    assert int(got.loc["orders", "n_remaining"]) == len(o_rem)
-    assert int(got.loc["orders", "remaining_checksum"]) == chk(o_rem)
-    assert int(got.loc["lineitem", "n_deleted"]) == len(li_del)
-    assert int(got.loc["lineitem", "n_remaining"]) == len(li_rem)
-    assert int(got.loc["lineitem", "remaining_checksum"]) == chk(li_rem)
 
 
 def test_hashed_bow(ray_session):

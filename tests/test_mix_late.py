@@ -1,8 +1,7 @@
-"""mix_rebalance_weights / late_event_counts hand oracles, plus
-minhash_calibration estimator invariants on a known corpus."""
+"""mix_rebalance_weights hand oracle, plus minhash_calibration estimator
+invariants on a known corpus."""
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -39,38 +38,6 @@ def test_mix_rebalance_weights_hand(ray_session, tmp_path):
     pd.testing.assert_frame_equal(df, expect)
     # rebalance identity: sum(n·w) == total · 1e6 within rounding (±k/2)
     assert abs(int((df.n_docs * df.weight_micro).sum()) - 6_000_000) <= 2
-
-
-def test_late_event_counts_hand(ray_session, tmp_path):
-    from ocr_ray.driver import q_late_event_counts
-
-    # user 1 arrival order (event_id): ts 10, 5(late), 10(not late:
-    # strict <), 20, 15(late) → 2 late of 5
-    # user 2: monotone → 0 late of 3
-    rows = [
-        (1, 10, 1), (2, 5, 1), (3, 10, 1), (4, 20, 1), (5, 15, 1),
-        (6, 100, 2), (7, 100, 2), (8, 200, 2),
-    ]
-    ev = pa.table(
-        {
-            "event_id": pa.array([r[0] for r in rows], pa.int64()),
-            "ts": pa.array(
-                [r[1] * 1_000_000 for r in rows], pa.timestamp("us")
-            ),
-            "user_id": pa.array([r[2] for r in rows], pa.int64()),
-        }
-    )
-    sf = _write(tmp_path, "events", ev)
-    df = (
-        q_late_event_counts(sf)
-        .to_pandas()
-        .sort_values("user_id")
-        .reset_index(drop=True)
-    )
-    expect = pd.DataFrame(
-        {"user_id": [1, 2], "n_events": [5, 3], "n_late": [2, 0]}
-    )
-    pd.testing.assert_frame_equal(df, expect)
 
 
 def test_minhash_calibration_invariants(ray_session):

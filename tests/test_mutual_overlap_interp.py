@@ -1,11 +1,9 @@
-"""Unit tests for mutual_nn_pairs, cross_source_overlap_matrix and
-daily_linear_interp — hand-computed expectations on tiny inputs."""
+"""Unit tests for mutual_nn_pairs and cross_source_overlap_matrix —
+hand-computed expectations on tiny inputs."""
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-
-DAY_US = 86_400 * 1_000_000
 
 
 def test_mutual_nn_pairs_hand(ray_session):
@@ -84,93 +82,6 @@ def test_cross_source_overlap_matrix(ray_session):
     assert out["source_a"].tolist() == ["A"]
     assert out["source_b"].tolist() == ["B"]
     assert out["n_cooccurrences"].tolist() == [n_fps]
-
-
-def test_daily_linear_interp_hand(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.resample import daily_linear_interp
-
-    # type X observed on days 0 and 3: 10.00 and 40.00 dollars
-    events = pa.table(
-        {
-            "ts": pa.array([0, 3 * DAY_US], pa.timestamp("us")),
-            "event_type": pa.array(["X", "X"], pa.string()),
-            "value": pa.array([10.0, 40.0], pa.float64()),
-        }
-    )
-    out = (
-        daily_linear_interp(rd.from_arrow(events))
-        .to_pandas()
-        .sort_values("day_idx")
-        .reset_index(drop=True)
-    )
-    assert out["day_idx"].tolist() == [0, 1, 2, 3]
-    assert out["observed"].tolist() == [1, 0, 0, 1]
-    assert out["interp_milli_cents"].tolist() == [
-        1_000_000,
-        2_000_000,
-        3_000_000,
-        4_000_000,
-    ]
-
-
-def test_daily_linear_interp_single_day(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.resample import daily_linear_interp
-
-    events = pa.table(
-        {
-            "ts": pa.array([5 * DAY_US], pa.timestamp("us")),
-            "event_type": pa.array(["X"], pa.string()),
-            "value": pa.array([2.5], pa.float64()),
-        }
-    )
-    out = daily_linear_interp(rd.from_arrow(events)).to_pandas()
-    assert out["day_idx"].tolist() == [5]
-    assert out["observed"].tolist() == [1]
-    assert out["interp_milli_cents"].tolist() == [250_000]
-
-
-def test_daily_linear_interp_negative_values_match_duckdb(ray_session):
-    """ADVICE r03: negative daily sums used to floor (Python //) in the
-    engine while DuckDB truncates toward zero — the +K offset makes
-    both sides compute the same floor. Events with negative values
-    (refunds) across a gap day exercise the case."""
-    import duckdb
-    import ray.data as rd
-
-    from ocr_ray.ops.resample import daily_linear_interp, daily_linear_interp_sql
-
-    base = np.datetime64("2024-01-01T12:00:00", "us")
-    ts = [base, base + np.timedelta64(2, "D")]
-    t = pa.table(
-        {
-            "event_type": pa.array(["refund", "refund"], pa.string()),
-            "ts": pa.array(ts, pa.timestamp("us")),
-            "value": pa.array([-10.01, -0.50], pa.float64()),
-        }
-    )
-    got = (
-        daily_linear_interp(rd.from_arrow(t))
-        .to_pandas()
-        .sort_values("day_idx")
-        .reset_index(drop=True)
-    )
-    con = duckdb.connect()
-    con.register("events", t)
-    want = (
-        con.execute(daily_linear_interp_sql())
-        .df()
-        .sort_values("day_idx")
-        .reset_index(drop=True)
-    )
-    assert list(got.interp_milli_cents) == list(want.interp_milli_cents)
-    # the midpoint of -1001 and -50 cents floors to -526 milli*...:
-    # (-1001 + -50) / 2 = -525.5 cents -> floor at milli-cent precision
-    mid = got[got.observed == 0].interp_milli_cents.iloc[0]
-    assert mid == (-1001 * 1000 + -50 * 1000) // 2
 
 
 def test_mutual_nn_blocked_matches_exact(ray_session):

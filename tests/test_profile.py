@@ -1,124 +1,16 @@
-"""table_profile / corr_matrix / bm25_topk — the profiling and ranked-
-retrieval family added this round."""
+"""bm25_topk — the ranked-retrieval family."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 import pyarrow as pa
-import pytest
 
 
 def _ds(table: pa.Table):
     import ray.data as rd
 
     return rd.from_arrow(table)
-
-
-def test_table_profile_counts_nulls_distinct_minmax_mean(ray_session):
-    from ocr_ray.ops.profile import table_profile
-
-    t = pa.table(
-        {
-            "k": pa.array([1, 2, 2, 3, None], pa.int64()),
-            "v": pa.array([1.5, -2.25, 1.5, None, 0.0], pa.float64()),
-            "s": pa.array(["b", None, "a", "a", "c"], pa.string()),
-        }
-    )
-    out = table_profile(
-        _ds(t), [("k", "int"), ("v", "float"), ("s", "str")]
-    ).to_pydict()
-    rows = {c: i for i, c in enumerate(out["column"])}
-
-    i = rows["k"]
-    assert out["n"][i] == 5 and out["nulls"][i] == 1
-    assert out["n_distinct"][i] == 3
-    assert out["min_num"][i] == 1_000_000 and out["max_num"][i] == 3_000_000
-    assert out["mean_micro"][i] == 2_000_000  # mean(1,2,2,3)
-    assert out["min_str"][i] is None
-
-    i = rows["v"]
-    assert out["nulls"][i] == 1 and out["n_distinct"][i] == 3
-    assert out["min_num"][i] == -2_250_000 and out["max_num"][i] == 1_500_000
-    # mean(1.5, -2.25, 1.5, 0.0) = 0.1875 → 187500 micro
-    assert out["mean_micro"][i] == 187_500
-
-    i = rows["s"]
-    assert out["n_distinct"][i] == 3
-    assert out["min_str"][i] == "a" and out["max_str"][i] == "c"
-    assert out["min_num"][i] is None and out["mean_micro"][i] is None
-
-
-def test_table_profile_negative_mean_rounds_away_from_zero(ray_session):
-    from ocr_ray.ops.profile import table_profile
-
-    # mean = -0.75 → -750000 micro; a half boundary: mean(-1, -2) = -1.5
-    t = pa.table({"v": pa.array([-1.0, -2.0], pa.float64())})
-    out = table_profile(_ds(t), [("v", "float")]).to_pydict()
-    assert out["mean_micro"][0] == -1_500_000
-    assert out["min_num"][0] == -2_000_000
-
-
-def test_table_profile_timestamp_epoch_micro(ray_session):
-    from ocr_ray.ops.profile import table_profile
-
-    ts = pa.array(
-        [1_700_000_000_000_000, 1_700_000_111_000_000], pa.timestamp("us")
-    )
-    out = table_profile(_ds(pa.table({"t": ts})), [("t", "ts")]).to_pydict()
-    assert out["min_num"][0] == 1_700_000_000_000_000
-    assert out["max_num"][0] == 1_700_000_111_000_000
-    assert out["mean_micro"][0] is None  # ts mean not defined by contract
-    assert out["n_distinct"][0] == 2
-
-
-def test_corr_matrix_perfect_and_degenerate(ray_session):
-    from ocr_ray.ops.profile import corr_matrix
-
-    x = np.arange(1, 101, dtype=np.int64)
-    t = pa.table(
-        {
-            "a": pa.array(x.astype(np.float64)),
-            "b": pa.array((3 * x + 7).astype(np.float64)),  # corr = 1
-            "c": pa.array(np.full(100, 5.0)),  # zero variance → corr 0
-        }
-    )
-    out = (
-        corr_matrix(_ds(t), [("a", 1.0), ("b", 1.0), ("c", 1.0)])
-        .to_pandas()
-        .set_index(["col_x", "col_y"])
-    )
-    assert out.loc[("a", "b"), "corr"] == pytest.approx(1.0, abs=1e-12)
-    assert out.loc[("a", "c"), "corr"] == 0.0
-    assert int(out.loc[("a", "b"), "n"]) == 100
-
-
-def test_corr_matrix_matches_numpy(ray_session):
-    from ocr_ray.ops.profile import corr_matrix
-
-    rng = np.random.default_rng(7)
-    a = rng.integers(0, 1000, 500).astype(np.float64)
-    # half-unit steps: exactly integral at scale 2.0 (exercises the
-    # fixed-point path the TPC-H cents/hundredths columns use)
-    b = a * 0.5 + rng.integers(0, 500, 500)
-    out = (
-        corr_matrix(_ds(pa.table({"a": a, "b": b})), [("a", 1.0), ("b", 2.0)])
-        .to_pandas()
-        .iloc[0]
-    )
-    assert out["corr"] == pytest.approx(np.corrcoef(a, b)[0, 1], abs=1e-9)
-
-
-def test_corr_matrix_overflow_witness(ray_session):
-    from ocr_ray.ops.profile import corr_matrix
-
-    big = np.full(4, 2**31, dtype=np.int64).astype(np.float64)
-    # Ray wraps the task-side OverflowError in UserCodeException; match
-    # on the witness message instead of the exception class
-    with pytest.raises(Exception, match="corr_matrix"):
-        corr_matrix(
-            _ds(pa.table({"a": big, "b": big})), [("a", 1.0), ("b", 1.0)]
-        ).to_pandas()
 
 
 def _bm25_reference(texts: dict[int, str], terms: list[str], k1=1.2, b=0.75):
@@ -206,88 +98,3 @@ def test_bm25_empty_and_no_match(ray_session):
     got = bm25_topk(_ds(t), ["zzzmissing"], k=5)
     got = got.to_pandas() if hasattr(got, "to_pandas") else got
     assert len(got) == 0
-
-
-def test_table_profile_multi_block_distinct_exact(ray_session):
-    """Distinct counting must dedupe ACROSS blocks (the grouped_map
-    hash-partition path), not just within one."""
-    import ray.data as rd
-
-    from ocr_ray.ops.profile import table_profile
-
-    # 8 blocks; value space deliberately overlapping across blocks
-    parts = [
-        pa.table(
-            {
-                "k": pa.array(
-                    [(i * 7 + j) % 13 for j in range(50)], pa.int64()
-                ),
-                "s": pa.array(
-                    [f"v{(i + j) % 5}" for j in range(50)], pa.string()
-                ),
-            }
-        )
-        for i in range(8)
-    ]
-    ds = rd.from_arrow(parts)
-    out = (
-        table_profile(ds, [("k", "int"), ("s", "str")])
-        .to_pydict()
-    )
-    rows = {c: i for i, c in enumerate(out["column"])}
-    assert out["n"][rows["k"]] == 400
-    assert out["n_distinct"][rows["k"]] == 13
-    assert out["n_distinct"][rows["s"]] == 5
-
-
-def test_corr_matrix_multi_block_merges_moments(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.profile import corr_matrix
-
-    parts = [
-        pa.table(
-            {
-                "a": pa.array([float(i * 10 + j) for j in range(10)]),
-                "b": pa.array([float(2 * (i * 10 + j) + 1) for j in range(10)]),
-            }
-        )
-        for i in range(6)
-    ]
-    out = corr_matrix(
-        rd.from_arrow(parts), [("a", 1.0), ("b", 1.0)]
-    ).to_pandas().iloc[0]
-    assert int(out["n"]) == 60
-    assert abs(out["corr"] - 1.0) < 1e-12
-
-
-def test_corr_matrix_beyond_int64_sum(ray_session):
-    """Regression: moment sums past 2^63 (the sf0.1 cents-scaled price
-    regime that crashed Ray's int64 aggregate) must flow through the
-    limb encoding and still match DuckDB bit-for-bit."""
-    import duckdb
-    import ray.data as rd
-
-    from ocr_ray.ops.profile import corr_matrix, corr_matrix_sql
-
-    rng = np.random.default_rng(71)
-    n = 40_000
-    # values ~3e6 → micro-scaled 3e12 … squared 9e24?? keep products
-    # under 2^62: x up to 2e9 → x² 4e18 < 2^62; Σx² ≈ 1.6e23 >> 2^63
-    xi = rng.integers(1_500_000_000, 2_000_000_000, n)
-    x = xi.astype(np.float64)
-    y = (xi // 2 + rng.integers(0, 1_000_000, n)).astype(np.float64)
-    t = pa.table({"a": pa.array(x, pa.float64()),
-                  "b": pa.array(y, pa.float64())})
-    spec = [("a", 1.0), ("b", 1.0)]
-    got = (
-        corr_matrix(rd.from_arrow(t).repartition(6), spec)
-        .to_pandas()
-        .reset_index(drop=True)
-    )
-    con = duckdb.connect()
-    con.register("t", t)
-    want = con.execute(corr_matrix_sql("t", spec)).df()
-    assert int(got.n[0]) == int(want.n[0]) == n
-    assert got["corr"][0] == want["corr"][0]
-    assert got["corr"][0] > 0.99

@@ -1,9 +1,8 @@
-"""Unit tests for the segment-dedup, SQ8-quantization, rank-concordance
-and run-collapse families (the oracle harness is the primary gate; these
+"""Unit tests for the segment-dedup, SQ8-quantization and
+rank-concordance families (the oracle harness is the primary gate; these
 pin the kernel math and edge cases that SQL comparison can't isolate)."""
 import numpy as np
 import pyarrow as pa
-import pytest
 
 
 def _docs_ds(rows):
@@ -186,24 +185,3 @@ class TestRankCorr:
         c = kendall_counts(x, y)
         total = sum(v for k, v in c.items() if k != "n_docs")
         assert total == 30 * 29 // 2
-
-
-class TestRuns:
-    def test_rle_block(self):
-        from ocr_ray.ops.runs import _runs_block
-
-        block = pa.table(
-            {
-                "user_id": pa.array([1, 1, 1, 2, 2], pa.int64()),
-                "event_type": pa.array(
-                    ["a", "a", "b", "b", "b"], pa.string()
-                ),
-                "ts": pa.array([1, 2, 3, 1, 2], pa.timestamp("us")),
-                "event_id": pa.array([10, 11, 12, 13, 14], pa.int64()),
-            }
-        )
-        out = _runs_block(block, np.array([0, 3]))
-        assert out.column("user_id").to_pylist() == [1, 1, 2]
-        assert out.column("run_idx").to_pylist() == [1, 2, 1]
-        assert out.column("event_type").to_pylist() == ["a", "b", "b"]
-        assert out.column("n_events").to_pylist() == [2, 1, 2]

@@ -1,117 +1,8 @@
-"""Unit tests for ops/survival.py (Kaplan-Meier, Markov stationary),
-ops/lexicon.py (phrase matching) and ops/series.rolling_corr_daily —
-hand-computed expectations on tiny in-memory streams."""
+"""Unit tests for ops/lexicon.py (phrase matching) — hand-computed
+expectations on tiny in-memory inputs."""
 from __future__ import annotations
 
-import pytest
 import pyarrow as pa
-
-DAY_US = 86_400 * 1_000_000
-
-
-def _ts(day: int, sec: int = 0):
-    return day * DAY_US + sec * 1_000_000
-
-
-def _sec_events(rows):
-    """rows = [(user, sec), ...] -> events table with event_id order."""
-    return pa.table(
-        {
-            "user_id": pa.array([r[0] for r in rows], pa.int64()),
-            "ts": pa.array(
-                [r[1] * 1_000_000 for r in rows], pa.timestamp("us")
-            ),
-            "event_id": pa.array(range(len(rows)), pa.int64()),
-        }
-    )
-
-
-def test_kaplan_meier_hand_computed(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.survival import kaplan_meier_retention
-
-    # gap 1800s; max end = 100000 -> cutoff = 98200
-    rows = [
-        (1, 0), (1, 60), (1, 120),   # session dur 2 min, end 120: churn
-        (1, 10_000),                 # new session, dur 0, end 10000: churn
-        (2, 0), (2, 1_800),          # gap exactly 1800 stays: dur 30, churn
-        (3, 99_000), (3, 100_000),   # dur 16, end 100000 > cutoff: censored
-    ]
-    out = kaplan_meier_retention(
-        rd.from_arrow(_sec_events(rows))
-    ).to_pandas()
-    out = out.sort_values("duration_min").reset_index(drop=True)
-    assert out["duration_min"].tolist() == [0, 2, 30]
-    assert out["n_risk"].tolist() == [4, 3, 1]
-    assert out["n_churned"].tolist() == [1, 1, 1]
-    assert out["survival"].tolist() == [
-        0.75,
-        0.75 * (1 - 1 / 3),
-        0.0,
-    ]
-
-
-def test_kaplan_meier_all_censored(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.survival import kaplan_meier_retention
-
-    out = kaplan_meier_retention(
-        rd.from_arrow(_sec_events([(1, 100_000), (2, 99_000)]))
-    ).to_pandas()
-    assert len(out) == 0
-
-
-def test_markov_stationary_symmetric_cycle(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.survival import markov_stationary
-
-    # one user alternating A,B strictly: transitions A->B and B->A only
-    n = 10
-    types = ["A", "B"] * n
-    events = pa.table(
-        {
-            "user_id": pa.array([1] * len(types), pa.int64()),
-            "event_id": pa.array(range(len(types)), pa.int64()),
-            "ts": pa.array(
-                [_ts(0, i) for i in range(len(types))], pa.timestamp("us")
-            ),
-            "event_type": pa.array(types, pa.string()),
-        }
-    )
-    out = markov_stationary(rd.from_arrow(events)).to_pandas()
-    out = out.sort_values("event_type").reset_index(drop=True)
-    assert out["event_type"].tolist() == ["A", "B"]
-    # symmetric chain: equal mass, pi ~ 0.5 exactly by symmetry of the
-    # integer iteration (both states get identical updates)
-    assert out["v_fixed"][0] == out["v_fixed"][1]
-    assert out["pi"].tolist() == pytest.approx([0.5, 0.5], abs=1e-12)
-
-
-def test_markov_stationary_sink_state(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.survival import markov_stationary
-
-    # A -> B always; B is a sink (appears only as next). The damped
-    # iteration must stay well-defined and keep restart mass on A.
-    events = pa.table(
-        {
-            "user_id": pa.array([1, 1], pa.int64()),
-            "event_id": pa.array([0, 1], pa.int64()),
-            "ts": pa.array([_ts(0, 0), _ts(0, 1)], pa.timestamp("us")),
-            "event_type": pa.array(["A", "B"], pa.string()),
-        }
-    )
-    out = markov_stationary(rd.from_arrow(events)).to_pandas()
-    out = out.sort_values("event_type").reset_index(drop=True)
-    assert out["event_type"].tolist() == ["A", "B"]
-    assert (out["v_fixed"] > 0).all()
-    # B receives A's walk mass plus restart; A only restart -> B > A
-    assert out["v_fixed"][1] > out["v_fixed"][0]
-    assert out["pi"].sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_phrase_match_counts(ray_session):
@@ -140,160 +31,3 @@ def test_phrase_match_counts(ray_session):
     # "hash valueless" still contains substring "hash value"
     assert out["n_occurrences"].tolist() == [3, 3]
     assert out["n_docs"].tolist() == [2, 2]
-
-
-def test_rolling_corr_daily_perfect_correlation(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.series import rolling_corr_daily
-
-    # 8 observed days; daily count == 1 event, value = day index dollars
-    # -> daily cents perfectly ANTI-correlates with nothing/count is
-    # constant -> d1 == 0, skipped. So use 2 events on even days:
-    # count series 1,2,1,2..., cents proportional to count.
-    rows = []
-    for day in range(8):
-        rows.append((day, 10.0))
-        if day % 2 == 1:
-            rows.append((day, 10.0))
-    events = pa.table(
-        {
-            "ts": pa.array([_ts(d) for d, _ in rows], pa.timestamp("us")),
-            "value": pa.array([v for _, v in rows], pa.float64()),
-        }
-    )
-    out = rolling_corr_daily(rd.from_arrow(events)).to_pandas()
-    # 8 days, window 7 -> 2 windows; cents = 1000 * count -> corr 1.0
-    assert len(out) == 2
-    assert out["n_days"].tolist() == [7, 7]
-    assert out["corr"].tolist() == pytest.approx([1.0, 1.0], abs=1e-12)
-
-
-def test_rolling_corr_daily_constant_side_skipped(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.series import rolling_corr_daily
-
-    # constant count (one event/day) -> zero variance -> no rows
-    events = pa.table(
-        {
-            "ts": pa.array([_ts(d) for d in range(9)], pa.timestamp("us")),
-            "value": pa.array([float(d) for d in range(9)], pa.float64()),
-        }
-    )
-    out = rolling_corr_daily(rd.from_arrow(events)).to_pandas()
-    assert len(out) == 0
-
-
-def test_markov_eval_accuracy_hand(ray_session):
-    import pyarrow as pa
-    import ray.data as rd
-
-    from ocr_ray.ops.survival import markov_eval_accuracy
-
-    # train days 0..14: A->B 3x, A->C 1x (mode A->B); B->A 3x, C->A 1x
-    # eval days 15+: A->B (correct), A->C (wrong), B->A (correct)
-    day = 86_400 * 1_000_000
-    seq = [
-        # user 1, train: A B A B A B A C (pairs all before day 15)
-        (1, 0, "A"), (1, 1, "B"), (1, 2, "A"), (1, 3, "B"),
-        (1, 4, "A"), (1, 5, "B"), (1, 6, "A"), (1, 7, "C"),
-        (1, 8, "A"),
-        # user 2, eval: events on days 20..23 -> pairs in eval
-        (2, 20, "A"), (2, 21, "B"), (2, 22, "A"), (2, 23, "C"),
-    ]
-    events = pa.table(
-        {
-            "user_id": pa.array([r[0] for r in seq], pa.int64()),
-            "ts": pa.array([r[1] * day for r in seq], pa.timestamp("us")),
-            "event_id": pa.array(range(len(seq)), pa.int64()),
-            "event_type": pa.array([r[2] for r in seq], pa.string()),
-        }
-    )
-    out = markov_eval_accuracy(
-        rd.from_arrow(events), cutoff_day=15
-    ).to_pandas()
-    # train pairs: A->B x3, A->C x1, B->A x3, C->A x1 = 8
-    assert out["n_train"][0] == 8
-    # eval pairs: A->B (pred B, ok), B->A (pred A, ok), A->C (pred B, no)
-    assert out["n_eval"][0] == 3
-    assert out["n_correct"][0] == 2
-    assert out["accuracy"][0] == 2 / 3
-
-
-def test_kaplan_meier_matches_independent_reference(ray_session):
-    import numpy as np
-    import ray.data as rd
-
-    from ocr_ray.ops.survival import kaplan_meier_retention
-
-    # deterministic pseudo-random stream: 60 users, bursty sessions
-    rows = []
-    state = 12345
-    def nxt(m):
-        nonlocal state
-        state = (state * 1103515245 + 12345) % (1 << 31)
-        return state % m
-    for u in range(60):
-        t = nxt(50_000)
-        for _ in range(1 + nxt(5)):
-            n_ev = 1 + nxt(4)
-            for _ in range(n_ev):
-                rows.append((u, t))
-                t += 30 + nxt(900)
-            t += 2000 + nxt(20_000)  # gap > 1800 -> new session
-    out = (
-        kaplan_meier_retention(rd.from_arrow(_sec_events(rows)))
-        .to_pandas()
-        .sort_values("duration_min")
-        .reset_index(drop=True)
-    )
-
-    # independent per-user sessionizer + KM fold (plain dicts/loops)
-    from collections import defaultdict
-    by_user = defaultdict(list)
-    for u, s in rows:
-        by_user[u].append(s)
-    sessions = []
-    for u, secs in by_user.items():
-        secs.sort()
-        start = prev = secs[0]
-        for s in secs[1:]:
-            if s - prev > 1800:
-                sessions.append((start, prev))
-                start = s
-            prev = s
-        sessions.append((start, prev))
-    mx = max(e for _, e in sessions)
-    durs = sorted(
-        ((e - s) // 60, 1 if e <= mx - 1800 else 0) for s, e in sessions
-    )
-    # KM fold
-    total = len(durs)
-    steps = {}
-    for d, churn in durs:
-        n, m = steps.get(d, (0, 0))
-        steps[d] = (n + churn, m + 1)
-    surv = 1.0
-    seen = 0
-    expect = []
-    for d in sorted(steps):
-        n_churn, m = steps[d]
-        n_risk = total - seen
-        seen += m
-        if n_churn == 0:
-            continue
-        surv = surv * (1.0 - float(n_churn) / float(n_risk))
-        expect.append((d, n_risk, n_churn, surv))
-
-    got = list(
-        zip(
-            out["duration_min"], out["n_risk"],
-            out["n_churned"], out["survival"],
-        )
-    )
-    assert [(a, b, c) for a, b, c, _ in expect] == [
-        (a, b, c) for a, b, c, _ in got
-    ]
-    for (_, _, _, se), (_, _, _, sg) in zip(expect, got):
-        assert se == sg  # identical float fold
