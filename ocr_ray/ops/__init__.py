@@ -1,7 +1,11 @@
 """Relational / training-data operations over document corpora.
 
-Every module here is imported by a pipeline, a stage, the CLI or a
-``driver.QUERIES`` entry (tests/test_registry.py checks this).
+Every module here is imported by a pipeline, a stage, the CLI, a
+``driver.QUERIES`` entry or another module here (tests/test_registry.py
+checks this). ``windows`` (imported only by
+``infotheory.transition_entropy``) and some functions in ``stats``,
+``sketch``, ``graph``, ``strsim`` and a few other modules are reached
+only from their own tests; they are left for a later deletion batch.
 
 - analysis: word-frequency learning aggregation (A1), stats (A2-A7),
   top-k (O1), language ID, quality scoring, token counts, fingerprints
@@ -17,4 +21,6 @@ Every module here is imported by a pipeline, a stage, the CLI or a
   rankcorr, stats, sketch, graph, layout, htmlops, spanstats: corpus
   analytics behind the registry queries
 - multimodal: binary-column decode/resize/frame-sample stage plumbing
+- windows: event-stream window operators (tumbling/sliding windows,
+  sessions, debounce), reached only from tests
 """

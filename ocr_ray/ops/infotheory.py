@@ -18,6 +18,10 @@ oracle replays the same quantization and closed form.
 Scale shape: the contingency table comes from one keyed count of slim
 (a, b) rows — bounded by |A|·|B| regardless of corpus size — and the
 fold runs in one final block.
+
+Also kept, reached only from their own tests since the events/TPC-H
+queries that used them were removed (left for a later deletion batch):
+``transition_entropy``.
 """
 from __future__ import annotations
 
@@ -95,5 +99,60 @@ def mutual_information_sql(col_a: str = "lang",
         " - CAST(s_cols AS DOUBLE)) / CAST(n_total AS DOUBLE))"
         f" / {float(s)} AS mi_nats\n"
         "FROM q"
+    )
+
+
+def transition_entropy(events):
+    """Conditional entropy of the event-type Markov chain,
+    H(next | prev) = [Σ_i r_i·qlog(r_i) − Σ_ij n_ij·qlog(n_ij)] / (N·S)
+    in nats — how predictable the next session step is given the
+    current one (0 = deterministic flows, ln K = memoryless).  Also
+    reports the marginal H(prev) so the information ratio
+    1 − H(next|prev)/H(prev) is one division away.
+
+    Same exact-integer contract as ``mutual_information``: transition
+    counts come from one hash shuffle (ops/windows.py:
+    event_transitions, K²-bounded), every sum is quantized-log int64,
+    and the only floats are the two final expressions written
+    identically in the oracle.
+
+    Output: one row (n_transitions, n_states, h_cond_nats, h_prev_nats).
+    """
+    from ocr_ray.ops.windows import event_transitions
+
+    cells = event_transitions(events).take_all()  # <= K^2 rows
+    s = _MI_SCALE
+
+    def qlog(x: int) -> int:
+        return int(np.floor(np.log(float(x)) * s))
+
+    n_total = sum(int(r["n"]) for r in cells)
+    if n_total == 0:
+        return pa.table(
+            {
+                "n_transitions": pa.array([0], pa.int64()),
+                "n_states": pa.array([0], pa.int64()),
+                "h_cond_nats": pa.array([0.0], pa.float64()),
+                "h_prev_nats": pa.array([0.0], pa.float64()),
+            }
+        )
+    row_tot: dict = {}
+    for r in cells:
+        row_tot[r["prev_type"]] = row_tot.get(r["prev_type"], 0) + int(r["n"])
+    s_cells = sum(int(r["n"]) * qlog(int(r["n"])) for r in cells)
+    s_rows = sum(v * qlog(v) for v in row_tot.values())
+    h_cond = (float(s_rows) - float(s_cells)) / (
+        float(n_total) * float(s)
+    )
+    h_prev = (
+        float(n_total) * float(qlog(n_total)) - float(s_rows)
+    ) / (float(n_total) * float(s))
+    return pa.table(
+        {
+            "n_transitions": pa.array([n_total], pa.int64()),
+            "n_states": pa.array([len(row_tot)], pa.int64()),
+            "h_cond_nats": pa.array([h_cond], pa.float64()),
+            "h_prev_nats": pa.array([h_prev], pa.float64()),
+        }
     )
 

@@ -18,6 +18,10 @@ Scale design: the scoring pass emits ONLY each batch's local top-k of
 slim (doc_id, weight, priority) rows — the global top-k is a subset of
 the union of per-batch top-ks — so the final sort sees at most
 k × n_batches rows regardless of corpus size.
+
+Also kept, reached only from their own tests since the events/TPC-H
+queries that used them were removed (left for a later deletion batch):
+``negative_samples``.
 """
 from __future__ import annotations
 
@@ -190,6 +194,82 @@ def token_budget_sample_sql(budget_chars: int = 8_000) -> str:
         " CAST(cum_before AS BIGINT) AS cum_before\n"
         f"FROM o WHERE cum_before < {budget_chars}"
     )
+
+
+def negative_samples(orders, lineitem, n_parts: int, k: int = 5,
+                     attempts: int = 64):
+    """Deterministic implicit-feedback negative sampling: for every
+    customer, the first ``k`` hash-generated candidate parts the
+    customer has NEVER purchased — the negative-pair miner behind
+    recommender training sets, with the exclusion check done against
+    a per-key purchased set rather than a global filter.
+
+    Candidate stream per customer: cand_j = Knuth-hash(custkey, j) mod
+    n_parts + 1 for j = 0..attempts-1, scanned in j order, skipping
+    purchased parts and repeats (a customer with a huge basket may
+    yield fewer than k negatives — emitted as-is, never padded).
+
+    Scale shape: one large hash join (orders x lineitem -> distinct
+    (custkey, partkey)), then a grouped_map by customer where each
+    group's exclusion set and candidate scan are vectorized numpy; at
+    most k slim rows leave per customer.
+
+    Output: (custkey, partkey, attempt) — attempt is the j that
+    produced the candidate, pinning the scan order for the oracle.
+    """
+    from ocr_ray.ops.joins import large_join
+    from ocr_ray.stages.grouped import grouped_map
+
+    pur = large_join(
+        orders, lineitem, on="o_orderkey", right_on="l_orderkey"
+    ).select_columns(["o_custkey", "l_partkey"])
+
+    out_schema = pa.schema(
+        [
+            ("custkey", pa.int64()),
+            ("partkey", pa.int64()),
+            ("attempt", pa.int64()),
+        ]
+    )
+
+    ks = np.arange(attempts, dtype=np.uint64)
+
+    def block_fn(block: pa.Table, starts: np.ndarray) -> pa.Table:
+        n = block.num_rows
+        if n == 0 or len(starts) == 0:
+            return out_schema.empty_table()
+        cust = block.column("o_custkey").to_numpy(zero_copy_only=False)
+        part = block.column("l_partkey").to_numpy(zero_copy_only=False)
+        ends = np.append(starts[1:], n)
+        c_o, p_o, a_o = [], [], []
+        for s, e in zip(starts, ends):
+            c = int(cust[s])
+            purchased = set(part[s:e].tolist())
+            cands = (
+                (np.uint64(c) * np.uint64(2654435761) + ks * np.uint64(40503))
+                & np.uint64(0xFFFFFFFF)
+            ) % np.uint64(n_parts) + np.uint64(1)
+            seen: set[int] = set()
+            taken = 0
+            for j, cd in enumerate(cands.tolist()):
+                if taken >= k:
+                    break
+                if cd in purchased or cd in seen:
+                    continue
+                seen.add(cd)
+                c_o.append(c)
+                p_o.append(int(cd))
+                a_o.append(j)
+                taken += 1
+        return pa.table(
+            {
+                "custkey": pa.array(c_o, pa.int64()),
+                "partkey": pa.array(p_o, pa.int64()),
+                "attempt": pa.array(a_o, pa.int64()),
+            }
+        )
+
+    return grouped_map(pur, ["o_custkey"], block_fn)
 
 
 def mixture_waterfill(docs, budget_tokens: int | None = None):

@@ -16,6 +16,10 @@
 
 Both shuffle only a handful of partial-aggregate rows per input batch
 regardless of corpus size.
+
+Also kept, reached only from their own tests since the events/TPC-H
+queries that used them were removed (left for a later deletion batch):
+``target_encoding_folds``.
 """
 from __future__ import annotations
 
@@ -527,6 +531,84 @@ def fold_balance_sql(k: int = 5) -> str:
         ")\n"
         "SELECT fold, CAST(n_f AS BIGINT) AS n_docs, chi AS chi2\n"
         "FROM cum WHERE rn = 1"
+    )
+
+
+def target_encoding_folds(events, k: int = 5):
+    """Leakage-free (leave-fold-out) target encoding of event_type by
+    value cents: fold = Knuth-hash(user_id) mod k (ENTITY-keyed, so a
+    user's own events never leak into the encoding their fold sees),
+    and the encoding for (type, fold) is the mean cents of that type
+    computed over the OTHER k-1 folds — the standard mean-encoding
+    recipe for categorical features that avoids target leakage.
+
+    One map-side (type, fold) partial sum + one tiny keyed aggregate
+    (k x #types rows); the leave-one-out arithmetic folds driver-side
+    in exact integers, the single float division mirrored by the
+    oracle.
+
+    Output: (event_type, fold, n_in_fold, n_rest, enc_cents).
+    """
+    from ray.data.aggregate import Sum
+
+    from ocr_ray.driver import _cents
+
+    def partials(batch: pa.Table) -> pa.Table:
+        ids = batch.column("user_id").to_numpy(
+            zero_copy_only=False
+        ).astype(np.int64)
+        fold = ((ids.astype(np.uint64) * _KNUTH) & _M32) % np.uint64(k)
+        t = pa.table(
+            {
+                "event_type": batch.column("event_type"),
+                "fold": pa.array(fold.astype(np.int64), pa.int64()),
+                "n": pa.array(np.ones(len(ids), np.int64), pa.int64()),
+                "cents": _cents(batch["value"]),
+            }
+        )
+        g = t.group_by(["event_type", "fold"]).aggregate(
+            [("n", "sum"), ("cents", "sum")]
+        )
+        return pa.table(
+            {
+                "event_type": g["event_type"],
+                "fold": g["fold"],
+                "n": pc.cast(g["n_sum"], pa.int64()),
+                "cents": pc.cast(g["cents_sum"], pa.int64()),
+            }
+        )
+
+    cells = (
+        events.map_batches(partials, batch_format="pyarrow")
+        .groupby(["event_type", "fold"])
+        .aggregate(Sum("n", alias_name="n"), Sum("cents", alias_name="cents"))
+    ).take_all()  # bounded: k x #types rows
+
+    by_type: dict[str, tuple[int, int]] = {}
+    for r in cells:
+        n_t, s_t = by_type.get(r["event_type"], (0, 0))
+        by_type[r["event_type"]] = (n_t + int(r["n"]), s_t + int(r["cents"]))
+
+    typ_o, fold_o, nf_o, nr_o, enc_o = [], [], [], [], []
+    for r in sorted(cells, key=lambda r: (r["event_type"], int(r["fold"]))):
+        n_t, s_t = by_type[r["event_type"]]
+        n_rest = n_t - int(r["n"])
+        s_rest = s_t - int(r["cents"])
+        typ_o.append(r["event_type"])
+        fold_o.append(int(r["fold"]))
+        nf_o.append(int(r["n"]))
+        nr_o.append(n_rest)
+        enc_o.append(
+            float(s_rest) / float(n_rest) if n_rest > 0 else 0.0
+        )
+    return pa.table(
+        {
+            "event_type": pa.array(typ_o, pa.string()),
+            "fold": pa.array(fold_o, pa.int64()),
+            "n_in_fold": pa.array(nf_o, pa.int64()),
+            "n_rest": pa.array(nr_o, pa.int64()),
+            "enc_cents": pa.array(enc_o, pa.float64()),
+        }
     )
 
 

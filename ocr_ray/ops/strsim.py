@@ -23,6 +23,10 @@ Scale shape:
   doc + one per co-occurring pair, the same candidate-pair regime
   ops/dedup.py materializes) is materialized; norms attach via the
   size-adaptive pair-payload join.
+
+Also kept, reached only from their own tests since the events/TPC-H
+queries that used them were removed (left for a later deletion batch):
+``fuzzy_word_pairs``, ``word_variant_clusters``.
 """
 from __future__ import annotations
 
@@ -38,11 +42,36 @@ from ocr_ray.stages.grouped import grouped_map
 logger = logging.getLogger(__name__)
 
 
+def _is_edit1(a: str, b: str) -> bool:
+    """True iff levenshtein(a, b) == 1. Candidates arrive pre-filtered
+    to |len(a)-len(b)| ≤ 1 by the deletion-key bucketing, and buckets
+    are alphabet-bounded, so the per-pair O(len) scan is cold-path."""
+    la, lb = len(a), len(b)
+    if la > lb:
+        a, b, la, lb = b, a, lb, la
+    if lb - la > 1:
+        return False
+    if la == lb:
+        return sum(1 for x, y in zip(a, b) if x != y) == 1
+    i = 0
+    while i < la and a[i] == b[i]:
+        i += 1
+    return a[i:] == b[i + 1 :]
+
+
 # --------------------------------------------------------------------------
 # corpus vocabulary
 
 
 _VOCAB_SCHEMA = pa.schema([("word", pa.string()), ("df", pa.int64())])
+_FUZZY_SCHEMA = pa.schema(
+    [
+        ("word_a", pa.string()),
+        ("word_b", pa.string()),
+        ("df_a", pa.int64()),
+        ("df_b", pa.int64()),
+    ]
+)
 
 
 def corpus_vocabulary(docs, min_df: int = 2, max_len: int = 24,
@@ -75,6 +104,101 @@ def corpus_vocabulary(docs, min_df: int = 2, max_len: int = 24,
     if min_df > 1:
         vocab = vocab.filter(expr=f"df >= {int(min_df)}")
     return vocab
+
+
+def fuzzy_word_pairs(docs, min_df: int = 2, max_len: int = 24,
+                     text_col: str = "text"):
+    """All vocabulary word pairs at levenshtein distance EXACTLY 1
+    (word_a < word_b lexically), each with its document frequency —
+    the candidate table a spell-correction / variant-merge step ranks.
+
+    SymSpell deletion-neighborhood join: every word emits itself plus
+    its single-character-deletion variants as keys; distance-1 pairs
+    provably share ≥ 1 key; bucket-local all-pairs verification keeps
+    only true positives; a final keyed dedup folds pairs that met under
+    two keys. Reference analogue: dictionary_corrector.py:239-263
+    probes one token against the whole dictionary per call — this is
+    the corpus-level join form of the same relation.
+    """
+    from ray.data.aggregate import Count
+
+    def explode_keys(batch: pa.Table) -> pa.Table:
+        keys, words, dfs = [], [], []
+        for w, df in zip(
+            batch.column("word").to_pylist(), batch.column("df").to_pylist()
+        ):
+            variants = {w}
+            for i in range(len(w)):
+                variants.add(w[:i] + w[i + 1 :])
+            for k in variants:
+                keys.append(k)
+                words.append(w)
+                dfs.append(df)
+        return pa.table(
+            {
+                "key": pa.array(keys, pa.string()),
+                "word": pa.array(words, pa.string()),
+                "df": pa.array(dfs, pa.int64()),
+            }
+        )
+
+    def bucket_pairs(block: pa.Table, starts: np.ndarray) -> pa.Table:
+        n = block.num_rows
+        if n == 0 or len(starts) == 0:
+            return _FUZZY_SCHEMA.empty_table()
+        gidx = np.zeros(n, dtype=np.int64)
+        gidx[starts] = 1
+        gidx = np.cumsum(gidx)
+        # alphabet-bounded buckets: no cap needed (module docstring)
+        ii, jj, _ = _intra_group_pair_indices(gidx, cap=np.iinfo(np.int64).max)
+        if len(ii) == 0:
+            return _FUZZY_SCHEMA.empty_table()
+        words = block.column("word").to_pylist()
+        dfs = block.column("df").to_pylist()
+        wa, wb, da, db = [], [], [], []
+        for i, j in zip(ii.tolist(), jj.tolist()):
+            a, b = words[i], words[j]
+            if a == b or not _is_edit1(a, b):
+                continue
+            if a > b:
+                a, b = b, a
+                wa.append(a), wb.append(b)
+                da.append(dfs[j]), db.append(dfs[i])
+            else:
+                wa.append(a), wb.append(b)
+                da.append(dfs[i]), db.append(dfs[j])
+        return pa.table(
+            {
+                "word_a": pa.array(wa, pa.string()),
+                "word_b": pa.array(wb, pa.string()),
+                "df_a": pa.array(da, pa.int64()),
+                "df_b": pa.array(db, pa.int64()),
+            }
+        )
+
+    vocab = corpus_vocabulary(
+        docs, min_df=min_df, max_len=max_len, text_col=text_col
+    )
+    keyed = vocab.map_batches(explode_keys, batch_format="pyarrow")
+    pairs = grouped_map(keyed, ["key"], bucket_pairs, sort_within=("word",))
+
+    # a pair can meet under one key per differing position; fold dupes
+    # with a grouped_map first-of-group pass (df columns are
+    # functionally dependent on the words, so first is a deterministic
+    # pass-through) — NOT the native hash aggregate, whose per-group
+    # accounting dominates on mostly-singleton pair groups (see
+    # ops/dedup.py:_ngram_cooccur_counts)
+    def first_of_group(block: pa.Table, starts: np.ndarray) -> pa.Table:
+        if block.num_rows == 0 or len(starts) == 0:
+            return _FUZZY_SCHEMA.empty_table()
+        return block.select(_FUZZY_SCHEMA.names).take(pa.array(starts))
+
+    deduped = grouped_map(
+        _with_schema(pairs, _FUZZY_SCHEMA),
+        ["word_a", "word_b"],
+        first_of_group,
+    )
+    return _with_schema(deduped, _FUZZY_SCHEMA)
 
 
 # --------------------------------------------------------------------------
@@ -251,6 +375,128 @@ def doc_cosine_pairs_sparse(docs, threshold: float = 0.5, max_df: int = 256):
     return _with_schema(
         enriched.map_batches(finish, batch_format="pyarrow"), _COS_SCHEMA
     )
+
+
+_CLUSTER_SCHEMA = pa.schema(
+    [
+        ("word", pa.string()),
+        ("df", pa.int64()),
+        ("canonical", pa.string()),
+        ("cluster_size", pa.int64()),
+    ]
+)
+_ID62 = (1 << 62) - 1  # keep hashed node ids positive int64
+
+
+def word_variant_clusters(docs, min_df: int = 2, max_len: int = 24,
+                          text_col: str = "text"):
+    """Entity-canonicalization composition: the distance-1 vocabulary
+    pair graph (``fuzzy_word_pairs``) clustered with distributed
+    connected components, each cluster labeled by its CANONICAL word
+    (max df, ties to the lexically smallest). One row per clustered
+    word: (word, df, canonical, cluster_size) — the merge map a
+    variant-normalization pass applies. The reference's analogue is
+    per-token fuzzy dictionary repair (dictionary_corrector.py:670-708);
+    this is the corpus-level, set-at-a-time form.
+
+    Node ids are 62-bit blake2b hashes of the words (component
+    propagation needs integer labels for its monotone label-sum
+    convergence witness). Cluster MEMBERSHIP is representation
+    independent — the SQL oracle runs the recursive reachability over
+    the word strings directly and must partition identically (a 62-bit
+    collision would break this; at vocabulary scale the probability is
+    ~|V|²/2^63, negligible and deterministic)."""
+    from ocr_ray.ops.dedup import _stable_hash64, connected_components
+    from ocr_ray.ops.joins import adaptive_key_join
+
+    def _id(w: str) -> int:
+        return _stable_hash64(w) & _ID62
+
+    pairs = fuzzy_word_pairs(
+        docs, min_df=min_df, max_len=max_len, text_col=text_col
+    ).materialize()
+
+    def edge_rows(t: pa.Table) -> pa.Table:
+        wa = t.column("word_a").to_pylist()
+        wb = t.column("word_b").to_pylist()
+        return pa.table(
+            {
+                "ida": pa.array([_id(w) for w in wa], pa.int64()),
+                "idb": pa.array([_id(w) for w in wb], pa.int64()),
+            }
+        )
+
+    def node_rows(t: pa.Table) -> pa.Table:
+        words, dfs = [], []
+        for side in ("a", "b"):
+            words.extend(t.column(f"word_{side}").to_pylist())
+            dfs.extend(t.column(f"df_{side}").to_pylist())
+        return pa.table(
+            {
+                "id": pa.array([_id(w) for w in words], pa.int64()),
+                "word": pa.array(words, pa.string()),
+                "df": pa.array(dfs, pa.int64()),
+            }
+        )
+
+    from ray.data.aggregate import Max
+
+    labels = connected_components(
+        pairs.map_batches(edge_rows, batch_format="pyarrow"), "ida", "idb"
+    )
+    # _with_schema: the hash aggregate emits schema-less empty blocks
+    # for empty partitions (small vocabularies have fewer groups than
+    # partitions) and adaptive_key_join crashes on those
+    nodes = _with_schema(
+        pairs.map_batches(node_rows, batch_format="pyarrow")
+        .groupby("id")
+        .aggregate(Max("word", alias_name="word"), Max("df", alias_name="df")),
+        pa.schema(
+            [("id", pa.int64()), ("word", pa.string()), ("df", pa.int64())]
+        ),
+    )
+    joined = adaptive_key_join(
+        nodes,
+        _with_schema(
+            labels.map_batches(
+                lambda t: t.rename_columns(
+                    ["id" if c == "node" else c for c in t.column_names]
+                ),
+                batch_format="pyarrow",
+            ),
+            pa.schema([("id", pa.int64()), ("label", pa.int64())]),
+        ),
+        on="id",
+    )
+
+    def finish(block: pa.Table, starts: np.ndarray) -> pa.Table:
+        n = block.num_rows
+        if n == 0 or len(starts) == 0:
+            return _CLUSTER_SCHEMA.empty_table()
+        words = np.array(block.column("word").to_pylist(), dtype=object)
+        dfs = block.column("df").to_numpy(zero_copy_only=False)
+        labels_np = block.column("label").to_numpy(zero_copy_only=False)
+        # reorder each label group by (df desc, word asc); label stays
+        # the primary key so groups remain contiguous
+        order = np.lexsort((words, -dfs, labels_np))
+        words, dfs, labels_np = words[order], dfs[order], labels_np[order]
+        s = np.flatnonzero(np.r_[True, labels_np[1:] != labels_np[:-1]])
+        sizes = np.diff(np.append(s, n))
+        return pa.table(
+            {
+                "word": pa.array(words.tolist(), pa.string()),
+                "df": pa.array(dfs, pa.int64()),
+                "canonical": pa.array(
+                    np.repeat(words[s], sizes).tolist(), pa.string()
+                ),
+                "cluster_size": pa.array(
+                    np.repeat(sizes, sizes), pa.int64()
+                ),
+            }
+        )
+
+    out = grouped_map(joined, ["label"], finish)
+    return _with_schema(out, _CLUSTER_SCHEMA)
 
 
 # --------------------------------------------------------------------------

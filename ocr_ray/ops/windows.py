@@ -17,6 +17,9 @@ partitioned batch transforms over the ordered log:
 
 All window boundaries are integer epoch seconds → deterministic and
 DuckDB-checkable.
+
+Reached only from its own tests since the events queries that used it
+were removed; left for a later deletion batch.
 """
 from __future__ import annotations
 
@@ -641,41 +644,6 @@ def peak_concurrent_sessions(events, gap_sec: int = 1800):
     )
 
 
-def peak_concurrent_sessions_sql(gap_sec: int = 1800) -> str:
-    """DuckDB replay: identical sessionization (LAG gap rule), identical
-    half-open intervals, one ROWS-frame running sum ordered by
-    (t, delta) — ends before starts at the same second."""
-    return (
-        "WITH ordered AS (\n"
-        " SELECT user_id, epoch_us(ts) // 1000000 AS t,\n"
-        "  CASE WHEN (epoch_us(ts) // 1000000) -"
-        " (epoch_us(LAG(ts) OVER (PARTITION BY user_id ORDER BY ts))"
-        f" // 1000000) > {gap_sec} THEN 1 ELSE 0 END AS new_session\n"
-        " FROM events\n"
-        "), sess AS (\n"
-        " SELECT user_id, t,\n"
-        "  SUM(new_session) OVER (PARTITION BY user_id"
-        " ORDER BY t, new_session DESC"
-        " ROWS UNBOUNDED PRECEDING) AS sid\n"
-        " FROM ordered\n"
-        "), intervals AS (\n"
-        f" SELECT MIN(t) AS start_s, MAX(t) + {gap_sec} AS end_s\n"
-        " FROM sess GROUP BY user_id, sid\n"
-        "), deltas AS (\n"
-        " SELECT start_s AS t, 1 AS delta FROM intervals\n"
-        " UNION ALL SELECT end_s, -1 FROM intervals\n"
-        "), run AS (\n"
-        " SELECT t, SUM(delta) OVER (ORDER BY t, delta"
-        " ROWS UNBOUNDED PRECEDING) AS running\n"
-        " FROM deltas\n"
-        ")\n"
-        "SELECT CAST((SELECT MAX(running) FROM run) AS BIGINT)"
-        " AS peak_concurrency,\n"
-        " to_timestamp(MIN(t))::TIMESTAMP AS peak_at\n"
-        "FROM run WHERE running = (SELECT MAX(running) FROM run)"
-    )
-
-
 def rate_limit_audit(events, window_us: int = 60_000_000,
                      limit: int = 30):
     """Per-user sliding-window rate audit — the batch re-expression of
@@ -953,33 +921,6 @@ def temporal_split_audit(events, cutoff_day: int = 15):
     )
 
 
-def temporal_split_audit_sql(cutoff_day: int = 15) -> str:
-    return (
-        "WITH d AS (\n"
-        " SELECT user_id, MIN(epoch_us(ts)//1000000//86400) AS lo,\n"
-        "  MAX(epoch_us(ts)//1000000//86400) AS hi\n"
-        " FROM events GROUP BY user_id\n"
-        "), c AS (\n"
-        f" SELECT (SELECT MIN(lo) FROM d) + {cutoff_day} AS cut\n"
-        "), f AS (\n"
-        " SELECT CASE WHEN lo < cut THEN 1 ELSE 0 END AS train,\n"
-        "  CASE WHEN hi >= cut THEN 1 ELSE 0 END AS test\n"
-        " FROM d CROSS JOIN c\n"
-        ")\n"
-        "SELECT CAST(COUNT(*) AS BIGINT) AS n_users,\n"
-        " CAST(SUM(CASE WHEN train = 1 AND test = 0 THEN 1 ELSE 0 END)"
-        " AS BIGINT) AS n_train_only,\n"
-        " CAST(SUM(CASE WHEN train = 0 AND test = 1 THEN 1 ELSE 0 END)"
-        " AS BIGINT) AS n_test_only,\n"
-        " CAST(SUM(CASE WHEN train = 1 AND test = 1 THEN 1 ELSE 0 END)"
-        " AS BIGINT) AS n_cross,\n"
-        " CAST(SUM(CASE WHEN train = 1 AND test = 1 THEN 1 ELSE 0 END)"
-        " * 1000000 // GREATEST(COUNT(*), 1) AS BIGINT)"
-        " AS cross_millionths\n"
-        "FROM f"
-    )
-
-
 def latest_event_per_user(events):
     """The QUALIFY shape: each user's LAST event row in full —
     (user_id, ts, event_type, cents), ordered inside each user run by
@@ -1033,17 +974,6 @@ def latest_event_per_user(events):
     tagged = events.map_batches(tag, batch_format="pyarrow")
     return grouped_map(
         tagged, ["user_id"], last_row, sort_within=("ts", "event_id")
-    )
-
-
-def latest_event_per_user_sql() -> str:
-    return (
-        "SELECT user_id, ts, event_type,\n"
-        " CAST(ROUND(value * 100.0) AS BIGINT) AS cents\n"
-        "FROM (\n"
-        " SELECT *, ROW_NUMBER() OVER (PARTITION BY user_id"
-        " ORDER BY ts DESC, event_id DESC) AS rn FROM events\n"
-        ") WHERE rn = 1"
     )
 
 
@@ -1109,33 +1039,6 @@ def daily_value_ohlc(events):
     return grouped_map(
         tagged, ["day"], ohlc, sort_within=("ts", "event_id")
     )
-
-
-def daily_value_ohlc_sql() -> str:
-    return (
-        "WITH c AS (\n"
-        " SELECT date_trunc('day', ts) AS day, ts, event_id,\n"
-        "  CAST(ROUND(value * 100.0) AS BIGINT) AS cents\n"
-        " FROM events\n"
-        "), w AS (\n"
-        " SELECT day, cents,\n"
-        "  ROW_NUMBER() OVER (PARTITION BY day"
-        " ORDER BY ts, event_id) AS rn_a,\n"
-        "  ROW_NUMBER() OVER (PARTITION BY day"
-        " ORDER BY ts DESC, event_id DESC) AS rn_d\n"
-        " FROM c\n"
-        ")\n"
-        "SELECT day,\n"
-        " CAST(MAX(CASE WHEN rn_a = 1 THEN cents END) AS BIGINT)"
-        " AS open_cents,\n"
-        " CAST(MAX(cents) AS BIGINT) AS high_cents,\n"
-        " CAST(MIN(cents) AS BIGINT) AS low_cents,\n"
-        " CAST(MAX(CASE WHEN rn_d = 1 THEN cents END) AS BIGINT)"
-        " AS close_cents,\n"
-        " CAST(COUNT(*) AS BIGINT) AS n_events\n"
-        "FROM w GROUP BY day"
-    )
-
 
 
 def _debounce_run(ts: np.ndarray, gap_us: int) -> int:
@@ -1220,34 +1123,6 @@ def debounced_event_counts(events, gap_us: int = 5_000_000):
     )
 
 
-def debounced_event_counts_sql(gap_us: int = 5_000_000) -> str:
-    """Chained debounce in SQL: a recursive CTE walks each (user, type)
-    run ordered by (ts, event_id), carrying the last-survivor
-    timestamp."""
-    return (
-        "WITH RECURSIVE seq AS (\n"
-        " SELECT user_id, event_type, ts, event_id,\n"
-        "  ROW_NUMBER() OVER (PARTITION BY user_id, event_type"
-        " ORDER BY ts, event_id) AS rn\n"
-        " FROM events\n"
-        "), walk AS (\n"
-        " SELECT user_id, event_type, rn, ts AS last_ts, 1 AS kept\n"
-        " FROM seq WHERE rn = 1\n"
-        " UNION ALL\n"
-        " SELECT s.user_id, s.event_type, s.rn,\n"
-        f"  CASE WHEN epoch_us(s.ts) - epoch_us(w.last_ts) >= {gap_us}\n"
-        "       THEN s.ts ELSE w.last_ts END,\n"
-        f"  CASE WHEN epoch_us(s.ts) - epoch_us(w.last_ts) >= {gap_us}\n"
-        "       THEN 1 ELSE 0 END\n"
-        " FROM walk w JOIN seq s ON s.user_id = w.user_id\n"
-        "  AND s.event_type = w.event_type AND s.rn = w.rn + 1\n"
-        ")\n"
-        "SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n_raw,\n"
-        " CAST(SUM(kept) AS BIGINT) AS n_survivors\n"
-        "FROM walk GROUP BY event_type"
-    )
-
-
 DEFAULT_SESSION_TIMEOUTS = (60, 300, 900, 1800, 3600)
 
 
@@ -1308,20 +1183,3 @@ def session_timeout_sweep(events, timeouts=DEFAULT_SESSION_TIMEOUTS):
         Sum("n_sessions", alias_name="n_sessions"),
     )
 
-
-def session_timeout_sweep_sql(timeouts=DEFAULT_SESSION_TIMEOUTS) -> str:
-    values = ", ".join(f"({int(t)})" for t in timeouts)
-    return (
-        "WITH e AS (\n"
-        " SELECT user_id, epoch_us(ts) // 1000000 AS sec,\n"
-        "  LAG(epoch_us(ts) // 1000000) OVER"
-        " (PARTITION BY user_id ORDER BY ts) AS prev\n"
-        " FROM events\n"
-        f"), ts(timeout_s) AS (VALUES {values})\n"
-        "SELECT CAST(timeout_s AS BIGINT) AS timeout_s,\n"
-        " CAST(COUNT(DISTINCT user_id) AS BIGINT) AS n_users,\n"
-        " CAST(COUNT(DISTINCT user_id)\n"
-        "  + SUM(CASE WHEN prev IS NOT NULL AND sec - prev > timeout_s"
-        " THEN 1 ELSE 0 END) AS BIGINT) AS n_sessions\n"
-        "FROM e CROSS JOIN ts GROUP BY timeout_s"
-    )

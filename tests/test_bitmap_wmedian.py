@@ -1,53 +1,10 @@
-"""Bitmap co-occurrence vs a set oracle; weighted median vs a hand
-oracle; popcount table sanity."""
+"""Weighted median price per return flag vs a hand oracle."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 import pyarrow as pa
-
-
-def test_popcount():
-    from ocr_ray.ops.bitmap import _popcount
-
-    arr = np.array([0, 1, 3, 0xFFFFFFFFFFFFFFFF, 1 << 63], np.uint64)
-    assert _popcount(arr).tolist() == [0, 1, 2, 64, 1]
-
-
-def test_type_cooccurrence_bitmap(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.bitmap import type_cooccurrence_bitmap
-
-    rng = np.random.RandomState(13)
-    n = 4000
-    # user ids crossing many 64-bit words, with duplicates
-    users = rng.randint(0, 700, n).astype(np.int64)
-    types = rng.choice(["click", "view", "purchase"], n)
-    t = pa.table(
-        {
-            "event_type": pa.array(types, pa.string()),
-            "user_id": pa.array(users, pa.int64()),
-        }
-    )
-    got = {
-        (r.type_a, r.type_b): int(r.n_users)
-        for r in type_cooccurrence_bitmap(rd.from_arrow(t).repartition(6))
-        .to_pandas()
-        .itertuples()
-    }
-    sets = {
-        ty: set(users[types == ty].tolist()) for ty in np.unique(types)
-    }
-    names = sorted(sets)
-    want = {}
-    for i, a in enumerate(names):
-        for b in names[i:]:
-            c = len(sets[a] & sets[b])
-            if c:
-                want[(a, b)] = c
-    assert got == want
 
 
 def test_weighted_median_price(ray_session):

@@ -4,7 +4,6 @@ bound on adversarial weight distributions."""
 from __future__ import annotations
 
 import numpy as np
-import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -67,24 +66,3 @@ def test_qsk_compress_rank_error_bound(data, m):
         assert abs(true_rank - est_rank) <= total // m + 1, (
             q, true_rank, est_rank, total, m
         )
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    users=st.lists(st.integers(min_value=0, max_value=300), min_size=1,
-                   max_size=300),
-)
-def test_bitmap_popcount_equals_set_size(users):
-    """Word-bitmap distinct counting equals the set cardinality for any
-    id multiset (single-type degenerate case of the co-occurrence op)."""
-    from ocr_ray.ops.bitmap import _popcount
-
-    ids = np.array(users, np.int64)
-    words = ids >> 6
-    acc: dict[int, np.uint64] = {}
-    for w, b in zip(words, np.uint64(1) << (ids & 63).astype(np.uint64)):
-        acc[int(w)] = acc.get(int(w), np.uint64(0)) | b
-    total = int(
-        _popcount(np.array(list(acc.values()), np.uint64)).sum()
-    ) if acc else 0
-    assert total == len(set(users))

@@ -19,10 +19,36 @@ def _empty_docs():
 
 def test_pair_ops_on_empty_corpus(ray_session):
     from ocr_ray.ops.dedup import ngram_containment_pairs
-    from ocr_ray.ops.strsim import doc_cosine_pairs_sparse
+    from ocr_ray.ops.strsim import (
+        doc_cosine_pairs_sparse,
+        fuzzy_word_pairs,
+        word_variant_clusters,
+    )
 
-    for fn in (doc_cosine_pairs_sparse, ngram_containment_pairs):
+    for fn in (
+        fuzzy_word_pairs,
+        doc_cosine_pairs_sparse,
+        word_variant_clusters,
+        ngram_containment_pairs,
+    ):
         assert fn(_empty_docs()).take_all() == [], fn.__name__
+
+
+def test_kmv_on_empty_events(ray_session):
+    import ray.data as rd
+
+    from ocr_ray.ops.sketch import kmv_distinct, kmv_overlap, kmv_registers
+
+    empty = rd.from_arrow(
+        pa.schema([("user_id", pa.int64()), ("event_type", pa.string())])
+        .empty_table()
+    )
+    assert kmv_registers(empty, "user_id").take_all() == []
+    assert kmv_distinct(empty, "user_id").to_pylist() == [
+        {"kmv_estimate": 0.0, "kth_hash": -1, "n_regs": 0}
+    ]
+    row = kmv_overlap(empty, "user_id", "event_type", "a", "b").to_pylist()[0]
+    assert row["n_union_regs"] == 0 and row["jaccard_est"] == 0.0
 
 
 def test_adaptive_join_empty_schemaless_sides(ray_session):
@@ -53,11 +79,53 @@ def test_adaptive_join_empty_schemaless_sides(ray_session):
     ).take_all() == []
 
 
+def _empty_events():
+    import ray.data as rd
+
+    return rd.from_arrow(
+        pa.schema(
+            [
+                ("event_id", pa.int64()),
+                ("ts", pa.timestamp("us")),
+                ("user_id", pa.int64()),
+                ("event_type", pa.string()),
+                ("value", pa.float64()),
+            ]
+        ).empty_table()
+    )
+
+
+def test_continuation_ops_on_empty_events(ray_session):
+    from ocr_ray.ops.sketch import quantile_sketch, quantile_sketch_violations
+    from ocr_ray.ops.stats import (
+        daily_value_band,
+        salted_user_totals,
+    )
+    from ocr_ray.ops.windows import (
+        daily_value_ohlc,
+        debounced_event_counts,
+        latest_event_per_user,
+    )
+
+    e = _empty_events()
+    assert daily_value_band(e).take_all() == []
+    assert salted_user_totals(e).take_all() == []
+    assert daily_value_ohlc(e).take_all() == []
+    assert debounced_event_counts(e).take_all() == []
+    assert latest_event_per_user(e).take_all() == []
+    ests, total = quantile_sketch(e)
+    assert ests == [] and total == 0
+    assert quantile_sketch_violations(e).num_rows == 0
+
+
 def test_continuation_ops_on_empty_docs_and_tables(ray_session):
     import ray.data as rd
 
     from ocr_ray.ops.split import fold_balance
-    from ocr_ray.ops.stats import ks_by_group
+    from ocr_ray.ops.stats import (
+        ks_by_group,
+        weighted_median_price_by_flag,
+    )
     from ocr_ray.ops.tfidf import hashed_bow
 
     docs = rd.from_arrow(
@@ -74,3 +142,14 @@ def test_continuation_ops_on_empty_docs_and_tables(ray_session):
     assert hashed_bow(docs).take_all() == []
     assert ks_by_group(docs).num_rows == 0
     assert fold_balance(docs).num_rows == 0
+
+    li = rd.from_arrow(
+        pa.schema(
+            [
+                ("l_returnflag", pa.string()),
+                ("l_extendedprice", pa.float64()),
+                ("l_quantity", pa.float64()),
+            ]
+        ).empty_table()
+    )
+    assert weighted_median_price_by_flag(li).take_all() == []

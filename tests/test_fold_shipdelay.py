@@ -1,6 +1,7 @@
-"""k-fold balance audit and Neyman allocation vs hand oracles."""
+"""k-fold balance audit and ship-delay percentiles vs hand oracles."""
 from __future__ import annotations
 
+import datetime as dt
 import math
 
 import numpy as np
@@ -49,6 +50,92 @@ def test_fold_balance(ray_session):
     # hash folding over sequential ids with a 3-periodic lang should be
     # reasonably balanced -> small chi2
     assert (got.chi2 < 10).all()
+
+
+def test_ship_delay_percentiles(ray_session):
+    import ray.data as rd
+
+    from ocr_ray.ops.stats import ship_delay_percentiles
+
+    t0 = dt.datetime(2024, 1, 1)
+    rng = np.random.RandomState(6)
+    n_orders = 200
+    prios = rng.choice(["1-URGENT", "3-MEDIUM"], n_orders)
+    odates = [t0 + dt.timedelta(days=int(d)) for d in rng.randint(0, 60, n_orders)]
+    orders = pa.table(
+        {
+            "o_orderkey": pa.array(np.arange(n_orders), pa.int64()),
+            "o_orderpriority": pa.array(prios, pa.string()),
+            "o_orderdate": pa.array(odates, pa.timestamp("us")),
+        }
+    )
+    l_ok, l_sd = [], []
+    delays = {}
+    for okey in range(n_orders):
+        for _ in range(int(rng.randint(1, 4))):
+            d = int(rng.randint(0, 90))
+            l_ok.append(okey)
+            l_sd.append(odates[okey] + dt.timedelta(days=d))
+            delays.setdefault(prios[okey], []).append(d)
+    lineitem = pa.table(
+        {
+            "l_orderkey": pa.array(l_ok, pa.int64()),
+            "l_shipdate": pa.array(l_sd, pa.timestamp("us")),
+        }
+    )
+    got = (
+        ship_delay_percentiles(
+            rd.from_arrow(orders).repartition(3),
+            rd.from_arrow(lineitem).repartition(4),
+        )
+        .to_pandas()
+        .set_index("o_orderpriority")
+    )
+
+    def pick(vals, q):
+        s = sorted(vals)
+        return s[math.ceil(q * len(s)) - 1]
+
+    for p, vals in delays.items():
+        assert int(got.loc[p, "n_lineitems"]) == len(vals)
+        assert int(got.loc[p, "p50_days"]) == pick(vals, 0.5)
+        assert int(got.loc[p, "p90_days"]) == pick(vals, 0.9)
+
+
+def test_target_encoding_leave_fold_out(ray_session):
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocr_ray.ops.split import target_encoding_folds
+
+    users = [1, 2, 3, 4, 5, 6]
+    vals = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    events = pa.table(
+        {
+            "user_id": pa.array(users, pa.int64()),
+            "event_type": pa.array(["X"] * 6, pa.string()),
+            "value": pa.array(vals, pa.float64()),
+        }
+    )
+    out = (
+        target_encoding_folds(rd.from_arrow(events), k=3)
+        .to_pandas()
+        .sort_values("fold")
+        .reset_index(drop=True)
+    )
+    # independent replay of the fold hash and the leave-fold-out means
+    folds = [((u * 2654435761) % (1 << 32)) % 3 for u in users]
+    cents = [round(v * 100) for v in vals]
+    total_n, total_s = len(users), sum(cents)
+    for _, row in out.iterrows():
+        f = int(row["fold"])
+        nf = sum(1 for x in folds if x == f)
+        sf = sum(c for x, c in zip(folds, cents) if x == f)
+        assert row["n_in_fold"] == nf
+        assert row["n_rest"] == total_n - nf
+        assert row["enc_cents"] == (total_s - sf) / (total_n - nf)
+    assert out["n_in_fold"].sum() == 6
 
 
 def test_neyman_allocation_hand(ray_session):

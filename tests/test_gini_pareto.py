@@ -1,6 +1,4 @@
-"""gini_coefficient vs the classic rank identity on hand data, and the
-pareto-frontier query's skyline semantics vs a brute-force dominance
-check (including ties at the frontier price)."""
+"""gini_coefficient vs the classic rank identity on hand data."""
 from __future__ import annotations
 
 import pyarrow as pa
@@ -55,55 +53,3 @@ def test_gini_empty(ray_session):
     t = pa.schema([("k", pa.int64()), ("v", pa.int64())]).empty_table()
     r = gini_coefficient(rd.from_arrow(t), "k", "v")
     assert r == {"n": 0, "sum_value": 0, "gini": 0.0}
-
-
-def _brute_frontier(points):
-    """Multiset skyline: (d minimized, c maximized)."""
-    out = {}
-    for d, c in points:
-        dominated = any(
-            (d2 <= d and c2 >= c and (d2 < d or c2 > c)) for d2, c2 in points
-        )
-        if not dominated:
-            out[(d, c)] = out.get((d, c), 0) + 1
-    return out
-
-
-def test_pareto_frontier_orders(ray_session, tmp_path, monkeypatch):
-    import pyarrow.parquet as pq
-
-    from ocr_ray.driver import q_pareto_frontier_orders
-
-    day = 86_400_000_000
-    # (day, price): day 1 holds the early cheap order; day 0 high price
-    # dominates everything later-or-equal priced; duplicate frontier
-    # points on day 3 must both count.
-    pts = [
-        (0, 50.00), (0, 20.00),
-        (1, 30.00),          # dominated by (0, 50)
-        (2, 50.00),          # dominated by (0, 50) (same price, later)
-        (3, 75.25), (3, 75.25),  # frontier, multiplicity 2
-        (4, 60.00),          # dominated by (3, 75.25)
-        (5, 80.00),          # frontier
-    ]
-    t = pa.table(
-        {
-            "o_orderdate": pa.array(
-                [p[0] * day for p in pts], pa.timestamp("us")
-            ),
-            "o_totalprice": pa.array([p[1] for p in pts], pa.float64()),
-        }
-    )
-    pq.write_table(t, tmp_path / "orders.parquet")
-    out = q_pareto_frontier_orders(str(tmp_path)).to_pandas()
-
-    brute = _brute_frontier(
-        [(d, round(p * 100)) for d, p in pts]
-    )
-    got = {
-        (int(r.o_orderdate.value // 1000) // day, int(r.price_cents)):
-            int(r.n_orders)
-        for r in out.itertuples()
-    }
-    assert got == brute
-    assert got[(3, 7525)] == 2

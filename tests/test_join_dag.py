@@ -73,3 +73,35 @@ def test_three_chained_large_joins_complete(ray_session):
         (np.random.default_rng(3).integers(0, 10, n) * 5).sum()
     )
     assert total == expect
+
+
+def test_sparse_graph_join_survives_empty_partitions(ray_session):
+    """Regression for the hash-shuffle schema-broadcast bug (see
+    ocr_ray/context.py:_patch_hash_shuffle_empty_blocks): a 7-edge
+    graph leaves most join partitions empty and the wedge dataset's
+    first block is a 0-row column-less aggregate output — unpatched,
+    the closure join dies with ArrowInvalid 'No match for key field'."""
+    import ray.data as rd
+
+    from ocr_ray.ops.graph import clustering_coefficients, triangle_counts
+
+    edges = [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5), (5, 6)]
+
+    def mk():
+        return rd.from_arrow(
+            pa.table(
+                {
+                    "u": pa.array([e[0] for e in edges], pa.int64()),
+                    "v": pa.array([e[1] for e in edges], pa.int64()),
+                }
+            )
+        )
+
+    tris = {r["node"]: r["n_triangles"] for r in triangle_counts(mk()).take_all()}
+    assert tris == {1: 1, 2: 1, 3: 2, 4: 1, 5: 1}
+
+    cc = {r["node"]: r["lcc"] for r in clustering_coefficients(mk()).take_all()}
+    # node 3: deg 4 → 2 triangles / C(4,2)=6 wedges; node 6: leaf → 0
+    assert cc[3] == 2 / 6
+    assert cc[6] == 0.0
+    assert set(cc) == {1, 2, 3, 4, 5, 6}

@@ -1,8 +1,64 @@
-"""Cross-source quantile normalization."""
+"""Misra-Gries summary/violations and cross-source quantile norm."""
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+
+def test_mg_compress_decrement():
+    from ocr_ray.ops.sketch import _mg_compress
+
+    items = np.arange(5, dtype=np.int64)
+    counts = np.array([10, 7, 5, 3, 1], np.int64)
+    out_i, out_c, d = _mg_compress(items, counts, k=2)
+    # (k+1)-th largest = 5 → survivors 10-5=5, 7-5=2
+    assert d == 5
+    assert list(out_i) == [0, 1] and list(out_c) == [5, 2]
+    # no compression needed when m <= k
+    out_i, out_c, d = _mg_compress(items, counts, k=5)
+    assert d == 0 and list(out_c) == [10, 7, 5, 3, 1]
+
+
+def test_mg_summary_guarantee(ray_session):
+    import ray.data as rd
+
+    from ocr_ray.ops.sketch import mg_summary
+
+    rng = np.random.default_rng(11)
+    # one dominant item (40%), a mid item, and a long uniform tail
+    x = np.concatenate(
+        [
+            np.full(4000, 1, np.int64),
+            np.full(1500, 2, np.int64),
+            rng.integers(100, 2000, 4500),
+        ]
+    )
+    rng.shuffle(x)
+    ds = rd.from_arrow(pa.table({"v": pa.array(x, pa.int64())})).repartition(6)
+    items, ests, d_total = mg_summary(ds, "v", k=16)
+    true = {1: 4000, 2: 1500}
+    est = dict(zip(items.tolist(), ests.tolist()))
+    assert len(items) <= 16
+    # guarantee: est <= true <= est + d_total for members; mandatory
+    # hitters (true > d_total) must be present
+    for it, tc in true.items():
+        assert it in est
+        assert est[it] <= tc <= est[it] + d_total
+    assert 1 in est and est[1] > 0
+
+
+def test_mg_violations_empty(ray_session):
+    import ray.data as rd
+
+    from ocr_ray.ops.sketch import mg_violations
+
+    rng = np.random.default_rng(3)
+    x = rng.zipf(1.5, 5000).astype(np.int64)
+    ds = rd.from_arrow(pa.table({"v": pa.array(x, pa.int64())})).repartition(5)
+    out = mg_violations(ds, "v", k=32)
+    # empty Ray results drop their schema at the pandas boundary; the
+    # driver query wraps this in _materialized with an explicit schema
+    assert out.count() == 0
 
 
 def test_quantile_normalize_vs_duckdb(ray_session):

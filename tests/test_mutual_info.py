@@ -56,3 +56,62 @@ def test_mutual_information_deterministic_is_h(ray_session):
     )
     out = mutual_information(rd.from_arrow(docs)).to_pandas()
     assert abs(out.mi_nats[0] - np.log(2)) < 1e-6
+
+
+def test_transition_entropy_deterministic_chain(ray_session):
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocr_ray.ops.infotheory import transition_entropy
+
+    # strict A->B->A alternation: H(next|prev) = 0
+    types = ["A", "B"] * 10
+    events = pa.table(
+        {
+            "user_id": pa.array([1] * 20, pa.int64()),
+            "event_id": pa.array(range(20), pa.int64()),
+            "ts": pa.array(
+                [i * 1_000_000 for i in range(20)], pa.timestamp("us")
+            ),
+            "event_type": pa.array(types, pa.string()),
+        }
+    )
+    out = transition_entropy(rd.from_arrow(events)).to_pandas()
+    assert out["n_transitions"][0] == 19
+    assert out["n_states"][0] == 2
+    assert abs(out["h_cond_nats"][0]) < 1e-6
+    # marginal entropy of prev: counts (10, 9) of 19
+    # -> ln 19 - (10 ln 10 + 9 ln 9)/19 = 0.6917615
+    assert abs(out["h_prev_nats"][0] - 0.6917615) < 1e-5
+
+
+def test_transition_entropy_memoryless(ray_session):
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocr_ray.ops.infotheory import transition_entropy
+
+    # next independent of prev, uniform over {A,B}: H(next|prev) ~ ln 2
+    # (md5 parity — a multiplicative hash mod 2 would preserve parity
+    # and alternate deterministically)
+    import hashlib
+
+    rng = [
+        int(hashlib.md5(str(i).encode()).hexdigest(), 16) % 2
+        for i in range(401)
+    ]
+    types = ["A" if b == 0 else "B" for b in rng]
+    n = len(types)
+    events = pa.table(
+        {
+            "user_id": pa.array([1] * n, pa.int64()),
+            "event_id": pa.array(range(n), pa.int64()),
+            "ts": pa.array(
+                [i * 1_000_000 for i in range(n)], pa.timestamp("us")
+            ),
+            "event_type": pa.array(types, pa.string()),
+        }
+    )
+    out = transition_entropy(rd.from_arrow(events)).to_pandas()
+    assert abs(out["h_cond_nats"][0] - np.log(2)) < 0.05

@@ -1,8 +1,47 @@
-"""pii_rate_by_source / cross_label_pairs."""
+"""percentile_cont_by_type / pii_rate_by_source / cross_label_pairs."""
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+
+def test_percentile_cont_matches_native_quantile_cont(ray_session):
+    import duckdb
+    import ray.data as rd
+
+    from ocr_ray.ops.stats import percentile_cont_by_type
+
+    rng = np.random.default_rng(17)
+    n = 5000
+    events = pa.table(
+        {
+            "event_type": pa.array(
+                rng.choice(["a", "b", "c"], n).tolist(), pa.string()
+            ),
+            # signed, irregular doubles — the interpolation formula
+            # (1-frac)*lo + frac*hi must match DuckDB bit-for-bit
+            "value": pa.array(
+                rng.standard_normal(n) * 1e4, pa.float64()
+            ),
+        }
+    )
+    got = (
+        percentile_cont_by_type(rd.from_arrow(events).repartition(4))
+        .to_pandas()
+        .sort_values("event_type")
+        .reset_index(drop=True)
+    )
+    con = duckdb.connect()
+    con.register("events", events)
+    want = con.execute(
+        "SELECT event_type, quantile_cont(value, 0.25) AS p25,"
+        " quantile_cont(value, 0.5) AS p50,"
+        " quantile_cont(value, 0.9) AS p90,"
+        " quantile_cont(value, 0.99) AS p99"
+        " FROM events GROUP BY event_type ORDER BY event_type"
+    ).df()
+    for c in ["p25", "p50", "p90", "p99"]:
+        assert (got[c].to_numpy() == want[c].to_numpy()).all(), c
 
 
 def test_pii_rate_by_source_hand(ray_session):

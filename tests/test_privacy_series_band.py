@@ -1,5 +1,4 @@
-"""l-diversity audit, U-shaped attribution, daily value band,
-daily-count autocorrelation, and DAU Jaccard vs hand oracles."""
+"""Daily value band vs a hand oracle."""
 from __future__ import annotations
 
 import datetime as dt
@@ -8,104 +7,11 @@ import math
 import numpy as np
 import pyarrow as pa
 
-US = 1_000_000
 T0 = dt.datetime(2024, 1, 1)
 
 
 def _ts(sec):
     return [T0 + dt.timedelta(seconds=float(s)) for s in sec]
-
-
-def test_l_diversity_audit(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.privacy import l_diversity_audit
-
-    # class (1, A): balances all in one bucket -> l_distinct=1 (violates)
-    # class (1, B): three buckets -> ok; class (2, A): two buckets
-    nat = [1] * 4 + [1] * 3 + [2] * 2
-    seg = ["A"] * 4 + ["B"] * 3 + ["A"] * 2
-    bal = [100.0, 200.0, 900.0, 999.0, 100.0, 1500.0, 2500.0, -10.0, 1200.0]
-    t = pa.table(
-        {
-            "c_nationkey": pa.array(nat, pa.int32()),
-            "c_mktsegment": pa.array(seg, pa.string()),
-            "c_acctbal": pa.array(bal, pa.float64()),
-        }
-    )
-    got = (
-        l_diversity_audit(rd.from_arrow(t), l_threshold=3)
-        .to_pandas()
-        .set_index(["nat", "seg"])
-        .sort_index()
-    )
-    assert got.loc[(1, "A")].tolist() == [4, 1, True]
-    assert got.loc[(1, "B")].tolist() == [3, 3, False]
-    # -10 -> bucket -1 (floor), 1200 -> bucket 1
-    assert got.loc[(2, "A")].tolist() == [2, 2, True]
-
-
-def test_attribution_position(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.asof import attribution_position
-
-    # user 1: clicks at t=0,10,20,30 then purchase at t=40 -> 4 touches
-    # user 2: one click then purchase -> 'only'
-    # user 3: click OUTSIDE the window -> nothing
-    sec = [0, 10, 20, 30, 40, 100, 160, 200, 200 + 3700]
-    types = ["click"] * 4 + ["purchase", "click", "purchase", "click",
-             "purchase"]
-    users = [1, 1, 1, 1, 1, 2, 2, 3, 3]
-    t = pa.table(
-        {
-            "user_id": pa.array(users, pa.int64()),
-            "ts": pa.array(_ts(sec), pa.timestamp("us")),
-            "event_id": pa.array(list(range(1, 10)), pa.int64()),
-            "event_type": pa.array(types, pa.string()),
-        }
-    )
-    got = attribution_position(rd.from_arrow(t)).to_pandas()
-    rows = {
-        (int(r.purchase_id), int(r.click_id)): (
-            r.position, int(r.credit_numer), int(r.credit_denom)
-        )
-        for r in got.itertuples()
-    }
-    assert rows == {
-        (5, 1): ("first", 2, 5),
-        (5, 2): ("middle", 1, 10),
-        (5, 3): ("middle", 1, 10),
-        (5, 4): ("last", 2, 5),
-        (7, 6): ("only", 1, 1),
-    }
-    # per-purchase credit sums to exactly 1
-    assert 2 / 5 + 1 / 10 + 1 / 10 + 2 / 5 == 1.0
-
-
-def test_attribution_position_two_touches_and_boundary(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.asof import attribution_position
-
-    # click exactly window_us before the purchase IS included (<= bound)
-    sec = [0.0, 5.0, 3600.0]
-    t = pa.table(
-        {
-            "user_id": pa.array([1, 1, 1], pa.int64()),
-            "ts": pa.array(_ts(sec), pa.timestamp("us")),
-            "event_id": pa.array([1, 2, 3], pa.int64()),
-            "event_type": pa.array(
-                ["click", "click", "purchase"], pa.string()
-            ),
-        }
-    )
-    got = attribution_position(rd.from_arrow(t)).to_pandas()
-    rows = {
-        int(r.click_id): (r.position, int(r.credit_numer), int(r.credit_denom))
-        for r in got.itertuples()
-    }
-    assert rows == {1: ("first", 1, 2), 2: ("last", 1, 2)}
 
 
 def test_daily_value_band(ray_session):
@@ -132,60 +38,3 @@ def test_daily_value_band(ray_session):
     assert got.n_events.tolist() == [50, 30]
     assert got.p50_cents.tolist() == [pick(day0, 0.5), pick(day1, 0.5)]
     assert got.p95_cents.tolist() == [pick(day0, 0.95), pick(day1, 0.95)]
-
-
-def test_autocorr_daily(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.series import autocorr_daily
-
-    # strict weekly pattern over 28 days: lag-7 correlation == 1
-    counts = ([5, 1, 1, 1, 1, 1, 9] * 4)
-    sec = []
-    for d, c in enumerate(counts):
-        sec.extend([d * 86400 + i for i in range(c)])
-    t = pa.table({"ts": pa.array(_ts(sec), pa.timestamp("us"))})
-    got = (
-        autocorr_daily(rd.from_arrow(t), max_lag=7)
-        .to_pandas()
-        .set_index("lag")
-    )
-    # perfectly periodic: correlation is 1 up to the sqrt(d1)*sqrt(d2)
-    # rounding (the oracle uses the identical expression)
-    assert abs(got.loc[7, "corr"] - 1.0) < 1e-12
-    assert int(got.loc[7, "n_pairs"]) == 21
-    # hand-check lag 1 with the exact moment formula
-    x = counts
-    m = len(x) - 1
-    a, b = x[:m], x[1:]
-    s1, s2 = sum(a), sum(b)
-    num = m * sum(u * v for u, v in zip(a, b)) - s1 * s2
-    d1 = m * sum(v * v for v in a) - s1 * s1
-    d2 = m * sum(v * v for v in b) - s2 * s2
-    want = float(num) / (np.sqrt(np.float64(d1)) * np.sqrt(np.float64(d2)))
-    assert got.loc[1, "corr"] == want
-
-
-def test_dau_jaccard(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.series import dau_jaccard
-
-    # day0: {1,2,3}, day1: {2,3,4,5}, day3: {9} (gap at day2)
-    day_users = [(0, [1, 2, 3, 3]), (1, [2, 3, 4, 5]), (3, [9])]
-    sec, users = [], []
-    for d, us in day_users:
-        for i, u in enumerate(us):
-            sec.append(d * 86400 + i)
-            users.append(u)
-    t = pa.table(
-        {
-            "ts": pa.array(_ts(sec), pa.timestamp("us")),
-            "user_id": pa.array(users, pa.int64()),
-        }
-    )
-    got = dau_jaccard(rd.from_arrow(t)).to_pandas()
-    assert len(got) == 1  # only day0 has an observed successor
-    r = got.iloc[0]
-    assert (int(r.dau), int(r.dau_next), int(r.inter)) == (3, 4, 2)
-    assert r.jaccard == 2.0 / 5.0

@@ -1,7 +1,58 @@
-"""CSV source round-trip."""
+"""Quantile sketch compression/gate, CSV source round-trip, and the
+salted two-phase rollup vs plain aggregation."""
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+
+
+def test_qsk_compress_preserves_weight_and_bounds_rank_error():
+    from ocr_ray.ops.sketch import _qsk_compress
+
+    rng = np.random.RandomState(9)
+    vals = rng.randint(0, 10_000, 50_000).astype(np.int64)
+    w = np.ones(len(vals), np.int64)
+    m = 512
+    cv, cw = _qsk_compress(vals, w, m)
+    assert len(cv) <= m
+    assert int(cw.sum()) == len(vals)
+    assert (np.diff(cv) >= 0).all()
+    # rank error of any query point <= total/m
+    total = len(vals)
+    s = np.sort(vals)
+    cum = np.cumsum(cw)
+    for q in (0.1, 0.5, 0.9):
+        target = int(np.ceil(q * total))
+        est = int(cv[np.searchsorted(cum, target, side="left")])
+        lt = int(np.searchsorted(s, est, side="left"))
+        le = int(np.searchsorted(s, est, side="right"))
+        err = max(lt + 1 - target, target - le, 0)
+        assert err <= total // m + 1
+
+
+def test_quantile_sketch_estimates_and_gate(ray_session):
+    import ray.data as rd
+
+    from ocr_ray.ops.sketch import quantile_sketch, quantile_sketch_violations
+
+    rng = np.random.RandomState(4)
+    vals = rng.lognormal(3.0, 1.0, 30_000)
+    t = pa.table({"value": pa.array(vals, pa.float64())})
+    ds = rd.from_arrow(t).repartition(8)
+    ests, total = quantile_sketch(ds)
+    assert total == len(vals)
+    cents = np.sort(np.round(vals * 100).astype(np.int64))
+    for q_idx, q, est in ests:
+        true = int(cents[int(np.ceil(q * total)) - 1])
+        # estimate's rank within 1% of target
+        lt = int(np.searchsorted(cents, est, side="left"))
+        le = int(np.searchsorted(cents, est, side="right"))
+        target = int(np.ceil(q * total))
+        assert lt + 1 - 0.01 * total <= target <= le + 0.01 * total, (
+            q, est, true
+        )
+    gate = quantile_sketch_violations(ds)
+    assert gate.num_rows == 0
 
 
 def test_csv_roundtrip_byte_exact(ray_session, tmp_path):
@@ -39,3 +90,34 @@ def test_csv_roundtrip_byte_exact(ray_session, tmp_path):
     assert back.text.tolist()[2] in ("", None)
     assert back.lang.tolist() == want.lang.tolist()
     assert back.n_chars.tolist() == want.n_chars.tolist()
+
+
+def test_salted_user_totals(ray_session):
+    import ray.data as rd
+
+    from ocr_ray.ops.stats import salted_user_totals
+
+    rng = np.random.RandomState(2)
+    # one hot user (80% of rows) plus a long tail
+    users = np.where(
+        rng.uniform(size=5000) < 0.8, 7, rng.randint(100, 200, 5000)
+    ).astype(np.int64)
+    vals = rng.uniform(0, 50, 5000)
+    t = pa.table(
+        {
+            "event_id": pa.array(np.arange(5000), pa.int64()),
+            "user_id": pa.array(users, pa.int64()),
+            "value": pa.array(vals, pa.float64()),
+        }
+    )
+    got = (
+        salted_user_totals(rd.from_arrow(t).repartition(8))
+        .to_pandas()
+        .set_index("user_id")
+        .sort_index()
+    )
+    cents = np.round(vals * 100).astype(np.int64)
+    for u in np.unique(users):
+        m = users == u
+        assert int(got.loc[u, "n_events"]) == int(m.sum())
+        assert int(got.loc[u, "sum_cents"]) == int(cents[m].sum())

@@ -1,4 +1,4 @@
-"""Property tests for the range-bucket rank family (global_ranks,
+"""Property tests for the range-bucket rank family (global_ranks, Gini,
 sorted-neighborhood) against brute-force oracles on randomized inputs.
 Hypothesis drives the data; one shared Ray session keeps it fast."""
 from __future__ import annotations
@@ -38,6 +38,36 @@ def test_global_ranks_matches_argsort(ray_session, vals):
     order = sorted(range(len(vals)), key=lambda i: (vals[i], i))
     want = {k: i + 1 for i, k in enumerate(order)}
     assert got == want
+
+
+@given(
+    vals=st.lists(
+        st.integers(min_value=0, max_value=100_000), min_size=1, max_size=50
+    )
+)
+@_FAST
+def test_gini_property(ray_session, vals):
+    import ray.data as rd
+
+    from ocr_ray.ops.stats import gini_coefficient
+
+    t = pa.table(
+        {
+            "k": pa.array(range(len(vals)), pa.int64()),
+            "v": pa.array(vals, pa.int64()),
+        }
+    )
+    r = gini_coefficient(rd.from_arrow(t), "k", "v", bucket_width=1009)
+    tot = sum(vals)
+    if tot == 0:
+        assert r["gini"] == 0.0
+        return
+    sv = sorted(vals)
+    n = len(sv)
+    srv = sum((i + 1) * x for i, x in enumerate(sv))
+    want = float(2 * srv - (n + 1) * tot) / float(n * tot)
+    assert abs(r["gini"] - want) < 1e-12
+    assert 0.0 <= r["gini"] < 1.0
 
 
 @given(

@@ -1,11 +1,19 @@
-"""HyperLogLog sketch: register merge across shards and the grouped
-vocabulary estimate."""
+"""HyperLogLog sketch: register exactness vs a serial reference,
+estimate accuracy, merge-across-shards associativity."""
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
-from ocr_ray.ops.sketch import _hash_parts, _rho, hll_estimate_from_registers
+from ocr_ray.ops.sketch import (
+    M,
+    _hash_parts,
+    _rho,
+    hll_distinct,
+    hll_estimate_from_registers,
+    hll_registers,
+)
 
 
 def _serial_registers(keys):
@@ -14,6 +22,30 @@ def _serial_registers(keys):
         b, w = _hash_parts(str(k))
         regs[b] = max(regs.get(b, 0), _rho(w))
     return regs
+
+
+def test_registers_match_serial_reference(ray_session):
+    keys = list(range(5000))
+    ds = rd.from_arrow(pa.table({"k": pa.array(keys, pa.int64())}))
+    got = {
+        int(r["bucket"]): int(r["max_rho"])
+        for r in hll_registers(ds, "k").take_all()
+    }
+    assert got == _serial_registers(keys)
+
+
+def test_estimate_accuracy_and_block_independence(ray_session):
+    n = 20_000
+    tbl = pa.table({"k": pa.array(range(n), pa.int64())})
+    est = hll_distinct(rd.from_arrow(tbl), "k").column("hll_estimate")[0].as_py()
+    # 256 registers → ~6.5% standard error; allow 3 sigma
+    assert abs(est - n) / n < 0.20
+    # duplicates never change a sketch
+    dup = pa.concat_tables([tbl, tbl])
+    est_dup = (
+        hll_distinct(rd.from_arrow(dup), "k").column("hll_estimate")[0].as_py()
+    )
+    assert est_dup == est
 
 
 def test_register_merge_is_shard_order_independent():
@@ -26,6 +58,67 @@ def test_register_merge_is_shard_order_independent():
     rows = [{"bucket": k, "max_rho": v} for k, v in merged.items()]
     est = hll_estimate_from_registers(rows)
     assert abs(est - 6000) / 6000 < 0.20
+
+
+def test_histogram_quantiles_within_bin_width(ray_session):
+    import ray.data as rd
+
+    from ocr_ray.ops.sketch import HIST_WIDTH, histogram_quantiles
+
+    rng = np.random.RandomState(3)
+    vals = np.concatenate(
+        [rng.uniform(0, 100, 4000), rng.uniform(400, 600, 1000)]
+    )  # values past 512 exercise the clamp
+    tbl = pa.table(
+        {
+            "event_type": pa.array(
+                ["a" if i % 2 else "b" for i in range(len(vals))], pa.string()
+            ),
+            "value": pa.array(vals, pa.float64()),
+        }
+    )
+    out = {r["event_type"]: r for r in histogram_quantiles(rd.from_arrow(tbl)).take_all()}
+    df = tbl.to_pandas()
+    for key, g in df.groupby("event_type"):
+        row = out[key]
+        assert row["n_values"] == len(g)
+        v = np.sort(g["value"].to_numpy())
+        for q, name in [(0.5, "p50_est"), (0.9, "p90_est"), (0.99, "p99_est")]:
+            exact = v[int(np.ceil(q * len(v))) - 1]
+            # estimate is the lower bin edge: within one bin width below
+            # the exact order statistic, unless the exact value sits in
+            # the clamped top bin
+            if exact < 512:
+                assert row[name] <= exact < row[name] + HIST_WIDTH
+            else:
+                assert row[name] == (512.0 - HIST_WIDTH)
+
+
+def test_bloom_semi_join_membership_and_fp_determinism(ray_session):
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocr_ray.ops.sketch import _bloom_bits, bloom_semi_join
+
+    build_keys = list(range(0, 50))
+    big_keys = list(range(0, 2000))
+    build = rd.from_arrow(pa.table({"k": pa.array(build_keys, pa.int64())}))
+    big = rd.from_arrow(pa.table({"k": pa.array(big_keys, pa.int64())}))
+    got = sorted(
+        r["k"] for r in bloom_semi_join(big, "k", build, "k").take_all()
+    )
+    # no false negatives: every build key survives
+    assert set(build_keys) <= set(got)
+    # survivors == the deterministic md5 replay (false positives incl.)
+    bits = {b for k in build_keys for b in _bloom_bits(str(k))}
+    expect = sorted(
+        k for k in big_keys if all(b in bits for b in _bloom_bits(str(k)))
+    )
+    assert got == expect
+
+    # empty build side -> empty bitmap -> nothing survives
+    empty = rd.from_arrow(pa.table({"k": pa.array([], pa.int64())}))
+    assert bloom_semi_join(big, "k", empty, "k").take_all() == []
 
 
 def test_hll_vocab_by_source_accuracy(ray_session):
@@ -54,3 +147,125 @@ def test_hll_vocab_by_source_accuracy(ray_session):
     assert abs(out["A"]["hll_vocab"] - 300) / 300 < 0.25
     assert abs(out["B"]["hll_vocab"] - 30) / 30 < 0.25
     assert out["A"]["n_registers"] <= 256
+
+
+def test_kmv_registers_exact_and_sorted(ray_session):
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocr_ray.ops.sketch import KMV_K, _kmv_hash, kmv_registers
+
+    vals = [f"user{i}" for i in range(500)] * 3  # duplicates collapse
+    tbl = pa.table({"k": pa.array(vals, pa.string())})
+    got = [r["h"] for r in kmv_registers(rd.from_arrow(tbl), "k").take_all()]
+    expected = sorted({_kmv_hash(v) for v in set(vals)})[:KMV_K]
+    assert got == expected
+
+
+def test_kmv_estimate_accuracy(ray_session):
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocr_ray.ops.sketch import kmv_distinct
+
+    n = 5000
+    tbl = pa.table({"k": pa.array([f"u{i}" for i in range(n)], pa.string())})
+    row = kmv_distinct(rd.from_arrow(tbl), "k").to_pylist()[0]
+    # KMV relative error ~ 1/sqrt(k-2) ≈ 12.7% at k=64; allow 3 sigma
+    assert abs(row["kmv_estimate"] - n) / n < 0.4
+    assert row["n_regs"] == 64 and row["kth_hash"] > 0
+
+
+def test_kmv_estimate_exact_below_k(ray_session):
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocr_ray.ops.sketch import kmv_distinct
+
+    tbl = pa.table({"k": pa.array([f"u{i % 20}" for i in range(200)],
+                                  pa.string())})
+    row = kmv_distinct(rd.from_arrow(tbl), "k").to_pylist()[0]
+    assert row == {"kmv_estimate": 20.0, "kth_hash": -1, "n_regs": 20}
+
+
+def test_kmv_overlap_exact_below_k(ray_session):
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocr_ray.ops.sketch import kmv_overlap
+
+    # A = {u0..u29}, B = {u20..u39}: |A∩B| = 10, |A∪B| = 40 < k=64
+    rows_a = [("a", f"u{i}") for i in range(30)]
+    rows_b = [("b", f"u{i}") for i in range(20, 40)]
+    tbl = pa.table(
+        {
+            "g": pa.array([g for g, _ in rows_a + rows_b] * 3, pa.string()),
+            "k": pa.array([v for _, v in rows_a + rows_b] * 3, pa.string()),
+        }
+    )
+    row = kmv_overlap(rd.from_arrow(tbl), "k", "g", "a", "b").to_pylist()[0]
+    assert row["n_union_regs"] == 40
+    assert row["inter_k"] == 10
+    assert row["jaccard_est"] == 10 / 40
+    assert row["est_union"] == 40.0
+    assert row["est_intersection"] == 10.0
+
+
+def test_kmv_overlap_estimate(ray_session):
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocr_ray.ops.sketch import kmv_overlap
+
+    # 3000 in each group, 1000 shared → true jaccard 1000/5000 = 0.2
+    rows = [("a", f"u{i}") for i in range(3000)]
+    rows += [("b", f"u{i}") for i in range(2000, 5000)]
+    tbl = pa.table(
+        {
+            "g": pa.array([g for g, _ in rows], pa.string()),
+            "k": pa.array([v for _, v in rows], pa.string()),
+        }
+    )
+    row = kmv_overlap(rd.from_arrow(tbl), "k", "g", "a", "b").to_pylist()[0]
+    assert row["n_union_regs"] == 64
+    # KMV jaccard std-err ~ sqrt(j(1-j)/k) ≈ 0.05 at k=64; allow 4 sigma
+    assert abs(row["jaccard_est"] - 0.2) < 0.2
+    assert abs(row["est_union"] - 5000) / 5000 < 0.4
+
+
+def test_kmv_fewer_distinct_than_partitions(ray_session):
+    """Distinct keys < hash-shuffle partitions: the aggregate emits
+    schema-less empty blocks for empty partitions, which sort/limit
+    must survive (regression: crashed before _with_schema wrapping)."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocr_ray.ops.sketch import _kmv_hash, kmv_distinct, kmv_registers
+
+    tbl = pa.table({"k": pa.array(["a", "b", "c"] * 40, pa.string())})
+    got = [r["h"] for r in kmv_registers(rd.from_arrow(tbl), "k").take_all()]
+    assert got == sorted(_kmv_hash(v) for v in ("a", "b", "c"))
+    row = kmv_distinct(rd.from_arrow(tbl), "k").to_pylist()[0]
+    assert row["kmv_estimate"] == 3.0
+
+
+def test_hll_incremental_equals_batch(ray_session):
+    """The chunked register fold must be IDENTICAL to the one-shot
+    sketch (HLL merge is exact), for several chunk counts."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocr_ray.ops.sketch import hll_distinct, hll_distinct_incremental
+
+    tbl = pa.table(
+        {
+            "k": pa.array([f"u{i % 700}" for i in range(2000)], pa.string()),
+            "cid": pa.array(list(range(2000)), pa.int64()),
+        }
+    )
+    batch = hll_distinct(rd.from_arrow(tbl), "k").to_pylist()
+    for n_chunks in (1, 3, 7):
+        inc = hll_distinct_incremental(
+            rd.from_arrow(tbl), "k", "cid", n_chunks=n_chunks
+        ).to_pylist()
+        assert inc == batch, n_chunks

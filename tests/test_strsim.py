@@ -1,7 +1,7 @@
-"""String-similarity joins (ops/strsim.py): the exact sparse tf-vector
-cosine join checked against brute force, Jaro-Winkler pairs, plus the
-attach_pair_payloads extra-column regression (both regimes must preserve
-non-key pair columns)."""
+"""String-similarity joins (ops/strsim.py): SymSpell deletion-key fuzzy
+vocabulary self-join and the exact sparse tf-vector cosine join, both
+checked against brute force; plus the attach_pair_payloads extra-column
+regression (both regimes must preserve non-key pair columns)."""
 from __future__ import annotations
 
 import re
@@ -22,6 +22,65 @@ def _docs_ds(texts, text_col="text"):
             }
         )
     )
+
+
+def _levenshtein(a: str, b: str) -> int:
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        cur = [i]
+        for j, cb in enumerate(b, 1):
+            cur.append(
+                min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb))
+            )
+        prev = cur
+    return prev[-1]
+
+
+def test_is_edit1_matches_levenshtein():
+    from ocr_ray.ops.strsim import _is_edit1
+
+    rng = np.random.default_rng(7)
+    words = ["" .join(rng.choice(list("abcd"), size=n)) for n in
+             rng.integers(1, 7, size=80)]
+    for a in words:
+        for b in words:
+            assert _is_edit1(a, b) == (_levenshtein(a, b) == 1), (a, b)
+
+
+# substitution (cold/bold), deletion/insertion (word/words, old/cold),
+# a longer cluster (merge/marge/mergee), plus unrelated fillers
+FUZZY_TEXTS = [
+    "cold bold word merge stream",
+    "cold words marge filter stream",
+    "bold word mergee unrelated stream",
+    "cold bold words merge different",
+]
+
+
+def _expected_fuzzy(min_df):
+    vocab = {}
+    for t in FUZZY_TEXTS:
+        for w in set(re.findall(r"[a-zA-Z]{3,}", t.lower())):
+            vocab[w] = vocab.get(w, 0) + 1
+    vocab = {w: df for w, df in vocab.items() if df >= min_df}
+    out = set()
+    for a in vocab:
+        for b in vocab:
+            if a < b and _levenshtein(a, b) == 1:
+                out.add((a, b, vocab[a], vocab[b]))
+    return out
+
+
+@pytest.mark.parametrize("min_df", [1, 2])
+def test_fuzzy_word_pairs_vs_brute(ray_session, min_df):
+    from ocr_ray.ops.strsim import fuzzy_word_pairs
+
+    got = {
+        (r["word_a"], r["word_b"], r["df_a"], r["df_b"])
+        for r in fuzzy_word_pairs(_docs_ds(FUZZY_TEXTS), min_df=min_df)
+        .take_all()
+    }
+    assert got == _expected_fuzzy(min_df)
 
 
 COS_TEXTS = [
@@ -125,6 +184,46 @@ def test_attach_pair_payloads_keeps_extra_columns(
     ).take_all()
     got = {(r["a"], r["b"], r["dot"], r["w_a"], r["w_b"]) for r in out}
     assert got == {(1, 2, 10, 5, 6), (2, 3, 20, 6, 7), (3, 4, 30, 7, 8)}
+
+
+def test_word_variant_clusters(ray_session):
+    """Transitive chain: marge–merge–mergee cluster through the middle
+    word even though marge/mergee are at distance 2; canonical = max
+    df, ties to the lexically smallest word."""
+    from ocr_ray.ops.strsim import word_variant_clusters
+
+    got = {
+        r["word"]: (r["df"], r["canonical"], r["cluster_size"])
+        for r in word_variant_clusters(
+            _docs_ds(FUZZY_TEXTS), min_df=1
+        ).take_all()
+    }
+    # dfs: cold 3, bold 3, word 2, words 2, merge 2, marge 1, mergee 1
+    # cold/bold tie at df 3 → lexically smallest ("bold") wins
+    assert got["cold"] == (3, "bold", 2)
+    assert got["bold"] == (3, "bold", 2)
+    # word/words tie at df 2 → lexically smallest wins
+    assert got["word"] == (2, "word", 2)
+    assert got["words"] == (2, "word", 2)
+    for w in ("merge", "marge", "mergee"):
+        assert got[w][1] == "merge" and got[w][2] == 3
+    assert set(got) == {
+        "cold", "bold", "word", "words", "merge", "marge", "mergee"
+    }
+
+
+def test_word_variant_clusters_tiny_vocab(ray_session):
+    """One pair, far fewer groups than partitions — the node aggregate's
+    schema-less empty blocks must survive the label join (regression:
+    crashed before _with_schema wrapping)."""
+    from ocr_ray.ops.strsim import word_variant_clusters
+
+    texts = ["cold winter", "bold winter", "cold bold"]
+    got = {
+        r["word"]: r["canonical"]
+        for r in word_variant_clusters(_docs_ds(texts), min_df=1).take_all()
+    }
+    assert got == {"cold": "bold", "bold": "bold"}
 
 
 def test_jaro_winkler_matches_duckdb_native(ray_session):

@@ -1,8 +1,322 @@
-"""Length/token correlation vs a numpy oracle."""
+"""Windowed aggregates vs a plain-pandas oracle."""
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
+
+
+def _events_table(n=500, seed=11):
+    rng = np.random.RandomState(seed)
+    # bursty timestamps so sessions are non-trivial
+    ts = np.sort(rng.randint(0, 7 * 86400, size=n)) * 1_000_000
+    return pa.table(
+        {
+            "event_id": pa.array(range(n), pa.int64()),
+            "ts": pa.array(ts, pa.timestamp("us")),
+            "user_id": pa.array(rng.randint(0, 20, size=n), pa.int64()),
+            "event_type": pa.array(
+                [["click", "view", "buy"][i % 3] for i in range(n)], pa.string()
+            ),
+            "value": pa.array(rng.uniform(0, 50, size=n), pa.float64()),
+        }
+    )
+
+
+def _ds(table):
+    import ray.data as rd
+
+    return rd.from_arrow(table)
+
+
+def test_tumbling(ray_session):
+    from ocr_ray.ops.windows import tumbling_window_counts
+
+    tbl = _events_table()
+    out = tumbling_window_counts(_ds(tbl), window_sec=3600).to_pandas()
+    df = tbl.to_pandas()
+    df["w"] = (df["ts"].astype("int64") // 10**6 // 3600) * 3600
+    expect = df.groupby("w").size()
+    got = {
+        int(row["window_start"].timestamp()): row["n_events"]
+        for _, row in out.iterrows()
+    }
+    assert got == expect.to_dict()
+
+
+def test_sliding_membership(ray_session):
+    from ocr_ray.ops.windows import sliding_window_counts
+
+    tbl = _events_table(n=200)
+    out = sliding_window_counts(_ds(tbl), window_sec=3600, slide_sec=900).to_pandas()
+    # every event is counted in exactly 4 windows
+    assert out["n_events"].sum() == 4 * 200
+    # spot-check one window: count events with start <= ts < start+1h
+    row = out.iloc[len(out) // 2]
+    start = int(row["window_start"].timestamp())
+    secs = tbl.to_pandas()["ts"].astype("int64") // 10**6
+    manual = ((secs >= start) & (secs < start + 3600)).sum()
+    assert row["n_events"] == manual
+
+
+def test_sessions(ray_session):
+    from ocr_ray.ops.windows import session_stats_per_user
+
+    tbl = _events_table(n=400)
+    out = session_stats_per_user(_ds(tbl), gap_sec=1800).to_pandas()
+    df = tbl.to_pandas()
+    df["sec"] = df["ts"].astype("int64") // 10**6
+    for user, g in df.groupby("user_id"):
+        secs = np.sort(g["sec"].to_numpy())
+        expect_sessions = int((np.diff(secs) > 1800).sum()) + 1
+        row = out[out["user_id"] == user].iloc[0]
+        assert row["n_sessions"] == expect_sessions
+        assert row["n_events"] == len(g)
+
+
+def test_inter_event_gap_stats(ray_session):
+    from ocr_ray.ops.windows import inter_event_gap_stats
+
+    tbl = _events_table(n=400)
+    out = inter_event_gap_stats(_ds(tbl)).to_pandas()
+    df = tbl.to_pandas()
+    df["us"] = df["ts"].astype("int64")
+    assert len(out) == df["user_id"].nunique()
+    for user, g in df.groupby("user_id"):
+        g = g.sort_values(["us", "event_id"])
+        gaps = np.diff(g["us"].to_numpy())
+        row = out[out["user_id"] == user].iloc[0]
+        assert row["n_events"] == len(g)
+        assert row["n_gaps"] == len(gaps)
+        if len(gaps):
+            assert row["min_gap_us"] == gaps.min()
+            assert row["max_gap_us"] == gaps.max()
+            assert row["mean_gap_us"] == int(gaps.sum()) / max(len(gaps), 1)
+        else:
+            assert row["min_gap_us"] == 0 and row["mean_gap_us"] == 0.0
+
+
+def test_inter_event_gap_stats_single_event_user(ray_session):
+    import ray.data as rd
+
+    from ocr_ray.ops.windows import inter_event_gap_stats
+
+    tbl = pa.table(
+        {
+            "event_id": pa.array([0, 1, 2], pa.int64()),
+            "ts": pa.array(
+                np.array([10, 10, 99], dtype=np.int64) * 1_000_000,
+                pa.timestamp("us"),
+            ),
+            "user_id": pa.array([5, 5, 7], pa.int64()),
+        }
+    )
+    rows = {
+        r["user_id"]: r
+        for r in inter_event_gap_stats(rd.from_arrow(tbl)).take_all()
+    }
+    # user 5: two events at the same timestamp — tie broken by event_id,
+    # gap of exactly 0 microseconds (counted, not dropped)
+    assert rows[5]["n_gaps"] == 1 and rows[5]["min_gap_us"] == 0
+    assert rows[5]["mean_gap_us"] == 0.0
+    # user 7: single event, no gaps
+    assert rows[7]["n_events"] == 1 and rows[7]["n_gaps"] == 0
+    assert rows[7]["min_gap_us"] == 0 and rows[7]["max_gap_us"] == 0
+
+
+def test_user_first_last_event(ray_session):
+    from ocr_ray.ops.windows import user_first_last_event
+
+    tbl = _events_table(n=300)
+    out = user_first_last_event(_ds(tbl)).to_pandas()
+    df = tbl.to_pandas()
+    for user, g in df.groupby("user_id"):
+        g = g.sort_values(["ts", "event_id"])
+        row = out[out["user_id"] == user].iloc[0]
+        assert row["first_ts"] == g.iloc[0]["ts"]
+        assert row["first_type"] == g.iloc[0]["event_type"]
+        assert row["last_ts"] == g.iloc[-1]["ts"]
+        assert row["last_type"] == g.iloc[-1]["event_type"]
+        assert row["n_events"] == len(g)
+
+
+def test_mode_event_type_per_user(ray_session):
+    from ocr_ray.ops.stats import mode_event_type_per_user
+
+    tbl = _events_table(n=300)
+    out = {
+        r["user_id"]: r
+        for r in mode_event_type_per_user(_ds(tbl)).take_all()
+    }
+    df = tbl.to_pandas()
+    for user, g in df.groupby("user_id"):
+        counts = g["event_type"].value_counts()
+        top = counts.max()
+        # tie-break: lexicographically smallest among max-count types
+        expect = sorted(t for t, c in counts.items() if c == top)[0]
+        assert out[user]["mode_type"] == expect
+        assert out[user]["mode_count"] == top
+
+
+def test_user_purchase_click_totals_full_outer_edges(ray_session):
+    import ray.data as rd
+    import tempfile, os
+
+    from ocr_ray.driver import q_user_purchase_click_totals
+
+    # user 1: purchase only; user 2: click only; user 3: both
+    tbl = pa.table(
+        {
+            "event_id": pa.array([0, 1, 2, 3], pa.int64()),
+            "ts": pa.array(
+                np.array([1, 2, 3, 4], dtype=np.int64) * 1_000_000,
+                pa.timestamp("us"),
+            ),
+            "user_id": pa.array([1, 2, 3, 3], pa.int64()),
+            "event_type": pa.array(
+                ["purchase", "click", "purchase", "click"], pa.string()
+            ),
+            "value": pa.array([10.0, 2.5, 4.0, 1.0], pa.float64()),
+        }
+    )
+    with tempfile.TemporaryDirectory() as d:
+        import pyarrow.parquet as pq
+
+        pq.write_table(tbl, os.path.join(d, "events.parquet"))
+        rows = {
+            r["user_id"]: r
+            for r in q_user_purchase_click_totals(d).take_all()
+        }
+    assert rows[1]["purchase_cents"] == 1000 and rows[1]["click_cents"] == 0
+    assert rows[2]["purchase_cents"] == 0 and rows[2]["click_cents"] == 250
+    assert rows[3]["purchase_cents"] == 400 and rows[3]["click_cents"] == 100
+
+
+def test_user_funnel_hand_checked(ray_session):
+    import ray.data as rd
+
+    from ocr_ray.ops.stats import user_funnel
+
+    def ev(i, ts_s, uid, typ):
+        return (i, ts_s * 1_000_000, uid, typ)
+
+    rows = [
+        # user 1 completes: signup@10, click@20, purchase@30
+        ev(0, 10, 1, "signup"), ev(1, 20, 1, "click"), ev(2, 30, 1, "purchase"),
+        # user 2: purchase BEFORE click -> stops at stage 2
+        ev(3, 10, 2, "signup"), ev(4, 30, 2, "click"), ev(5, 20, 2, "purchase"),
+        # user 3: click at the SAME ts as signup (not strictly after),
+        # a later click qualifies
+        ev(6, 10, 3, "signup"), ev(7, 10, 3, "click"), ev(8, 15, 3, "click"),
+        # user 4: never signs up
+        ev(9, 5, 4, "click"), ev(10, 6, 4, "purchase"),
+    ]
+    tbl = pa.table(
+        {
+            "event_id": pa.array([r[0] for r in rows], pa.int64()),
+            "ts": pa.array(
+                np.array([r[1] for r in rows], np.int64), pa.timestamp("us")
+            ),
+            "user_id": pa.array([r[2] for r in rows], pa.int64()),
+            "event_type": pa.array([r[3] for r in rows], pa.string()),
+        }
+    )
+    out = {r["user_id"]: r for r in user_funnel(rd.from_arrow(tbl)).take_all()}
+    assert out[1]["stage"] == 3
+    assert out[2]["stage"] == 2 and out[2]["purchase_ts"] is None
+    assert out[3]["stage"] == 2
+    assert out[3]["click_ts"].timestamp() == 15.0
+    assert out[4]["stage"] == 0 and out[4]["signup_ts"] is None
+
+
+def test_props_k_stats_malformed_rows_dropped(ray_session):
+    import ray.data as rd
+
+    from ocr_ray.ops.stats import props_k_stats
+
+    tbl = pa.table(
+        {
+            "event_type": pa.array(["a", "a", "a", "b"], pa.string()),
+            "props": pa.array(
+                ['{"k": 5}', '{"k": 11}', '{"other": 1}', '{"k": 2}']
+            ),
+        }
+    )
+    rows = {r["event_type"]: r for r in props_k_stats(rd.from_arrow(tbl)).take_all()}
+    a = rows["a"]
+    assert a["n"] == 2 and a["sum_k"] == 16
+    assert a["min_k"] == 5 and a["max_k"] == 11 and a["mean_k"] == 8.0
+    assert rows["b"]["n"] == 1 and rows["b"]["mean_k"] == 2.0
+
+
+def test_event_transitions_hand_case(ray_session):
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocr_ray.ops.windows import event_transitions
+
+    # user 1: a -> b -> a ; user 2: b -> b ; transitions never cross users
+    tbl = pa.table(
+        {
+            "user_id": pa.array([1, 1, 1, 2, 2], pa.int64()),
+            "event_id": pa.array([10, 11, 12, 20, 21], pa.int64()),
+            "ts": pa.array([1, 2, 3, 1, 2], pa.timestamp("us")),
+            "event_type": pa.array(["a", "b", "a", "b", "b"], pa.string()),
+        }
+    )
+    out = {
+        (r["prev_type"], r["next_type"]): r["n"]
+        for r in event_transitions(rd.from_arrow(tbl)).take_all()
+    }
+    assert out == {("a", "b"): 1, ("b", "a"): 1, ("b", "b"): 1}
+
+
+def test_user_event_paths_order_and_join(ray_session):
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocr_ray.ops.windows import user_event_paths
+
+    tbl = pa.table(
+        {
+            "user_id": pa.array([7, 7, 7, 8], pa.int64()),
+            # same ts for the first two -> event_id breaks the tie
+            "event_id": pa.array([2, 1, 3, 9], pa.int64()),
+            "ts": pa.array([5, 5, 6, 1], pa.timestamp("us")),
+            "event_type": pa.array(["b", "a", "c", "x"], pa.string()),
+        }
+    )
+    out = {
+        r["user_id"]: r for r in user_event_paths(rd.from_arrow(tbl)).take_all()
+    }
+    assert out[7]["path"] == "a->b->c" and out[7]["n_events"] == 3
+    assert out[8]["path"] == "x" and out[8]["n_events"] == 1
+
+
+def test_customer_value_ntile_uneven_split(ray_session):
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocr_ray.ops.stats import customer_value_ntile
+
+    # 10 customers, one order each, values 1..10 -> NTILE(4) over n=10:
+    # tiles sized 3,3,2,2 (first n%k tiles get the extra row)
+    orders = pa.table(
+        {
+            "o_custkey": pa.array(list(range(1, 11)), pa.int64()),
+            "o_totalprice": pa.array(
+                [float(i) for i in range(1, 11)], pa.float64()
+            ),
+        }
+    )
+    out = {
+        r["c_custkey"]: r["tile"]
+        for r in customer_value_ntile(
+            rd.from_arrow(orders), tiles=4, bucket_width=250
+        ).take_all()
+    }
+    # ascending by total: custkey i has rank i
+    assert [out[i] for i in range(1, 11)] == [1, 1, 1, 2, 2, 2, 3, 3, 4, 4]
 
 
 def test_length_token_correlation_matches_numpy(ray_session):
@@ -29,3 +343,185 @@ def test_length_token_correlation_matches_numpy(ray_session):
     assert abs(out[0]["corr"] - expect) < 1e-12
     # perfectly linear relation here (n_chars = 2*tokens - 1) -> corr 1
     assert out[0]["corr"] > 0.9999
+
+
+def test_daily_retention_hand_case(ray_session):
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocr_ray.ops.stats import daily_retention
+
+    day_us = 86_400_000_000
+    # u1 first day0, returns day1 (retained); u2 first day0 only;
+    # u3 first day1, returns day2; u4 first day1 only
+    rows = [
+        (1, 0), (1, 1), (2, 0), (3, 1), (3, 2), (4, 1),
+        (1, 0),  # duplicate same-day event must not double-count
+    ]
+    tbl = pa.table(
+        {
+            "user_id": pa.array([r[0] for r in rows], pa.int64()),
+            "ts": pa.array(
+                [r[1] * day_us + 5 for r in rows], pa.timestamp("us")
+            ),
+        }
+    )
+    out = {
+        r["cohort_day"]: r
+        for r in daily_retention(rd.from_arrow(tbl)).take_all()
+    }
+    assert out[0]["n_users"] == 2 and out[0]["n_retained"] == 1
+    assert out[1]["n_users"] == 2 and out[1]["n_retained"] == 1
+
+
+def test_key_skew_report_shares_and_rank(ray_session):
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocr_ray.ops.stats import key_skew_report
+
+    # key 5 dominates: 6 of 10 rows
+    keys = [5] * 6 + [1, 2, 3, 4]
+    ds = rd.from_arrow(pa.table({"k": pa.array(keys, pa.int64())}))
+    out = key_skew_report(ds, "k", k=3).to_pylist()
+    assert [r["key"] for r in out] == [5, 1, 2]
+    assert out[0]["n"] == 6 and out[0]["share"] == 0.6
+    assert [r["rank"] for r in out] == [1, 2, 3]
+
+
+def test_moving_window_sum(ray_session):
+    """Bounded ROWS frame vs a plain-python sliding window, including
+    group boundaries (frames never cross users) and short heads."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocr_ray.ops.windows import moving_window_sum
+
+    rng = np.random.default_rng(9)
+    rows = []
+    eid = 0
+    for user in range(7):
+        for i in range(int(rng.integers(1, 12))):
+            rows.append((eid, user, i, float(rng.integers(0, 500)) / 7.0))
+            eid += 1
+    tbl = pa.table(
+        {
+            "event_id": pa.array([r[0] for r in rows], pa.int64()),
+            "user_id": pa.array([r[1] for r in rows], pa.int64()),
+            "ts": pa.array([r[2] for r in rows], pa.timestamp("us")),
+            "value": pa.array([r[3] for r in rows], pa.float64()),
+        }
+    )
+    got = {
+        r["event_id"]: (r["frame_cents"], r["n_frame"], r["moving_avg"])
+        for r in moving_window_sum(rd.from_arrow(tbl), frame=3).take_all()
+    }
+    from collections import defaultdict
+
+    per_user = defaultdict(list)
+    for eid_, user, _, v in rows:
+        c = int(np.round(v * 100.0))  # half-away matches _cents on .5
+        per_user[user].append((eid_, c))
+    for user, seq in per_user.items():
+        for i, (eid_, _) in enumerate(seq):
+            window = [c for _, c in seq[max(0, i - 2): i + 1]]
+            s, n = sum(window), len(window)
+            assert got[eid_] == (s, n, float(s) / float(n)), (user, i)
+    assert len(got) == len(rows)
+
+
+def test_peak_concurrent_sessions(ray_session):
+    """Engine peak == plain-Python sweep on a corpus with the nasty
+    corners: single-event sessions, an exact close-at-open tie (the
+    half-open rule keeps them non-overlapping), and a within-user
+    session boundary."""
+    import datetime as dt
+
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocr_ray.ops.windows import peak_concurrent_sessions
+
+    GAP = 1800
+    base = dt.datetime(2026, 1, 1)
+
+    def at(sec):
+        return base + dt.timedelta(seconds=sec)
+
+    rows = [
+        # user 1: one session [0, 100+GAP)
+        (1, 0), (1, 100),
+        # user 2: single event exactly when user 1's session closes —
+        # the -1 sweeps first, so they never overlap
+        (2, 100 + GAP),
+        # user 3: two sessions (break > GAP) — [50, 50+GAP), [5000, 5000+GAP)
+        (3, 50), (3, 5000),
+        # user 4: overlaps everything early
+        (4, 10), (4, 60),
+    ]
+    events = rd.from_arrow(
+        pa.table(
+            {
+                "user_id": pa.array([r[0] for r in rows], pa.int64()),
+                "ts": pa.array(
+                    [at(r[1]) for r in rows], pa.timestamp("us")
+                ),
+            }
+        )
+    )
+    out = peak_concurrent_sessions(events, gap_sec=GAP).to_pylist()[0]
+
+    # plain-Python oracle
+    sessions = {}
+    for u, s in rows:
+        sessions.setdefault(u, []).append(s)
+    intervals = []
+    for u, ts in sessions.items():
+        ts.sort()
+        start = prev = ts[0]
+        for t in ts[1:]:
+            if t - prev > GAP:
+                intervals.append((start, prev + GAP))
+                start = t
+            prev = t
+        intervals.append((start, prev + GAP))
+    deltas = sorted(
+        [(s, 1) for s, _ in intervals] + [(e, -1) for _, e in intervals]
+    )
+    run, peak, peak_t = 0, -1, None
+    for t, d in deltas:
+        run += d
+        if run > peak:
+            peak, peak_t = run, t
+    assert out["peak_concurrency"] == peak == 3
+    assert out["peak_at"] == at(peak_t)
+
+
+def test_user_event_entropy_closed_form(ray_session):
+    """Single-type user scores exactly 0; uniform k-type user scores
+    ≈ ln k within the 2e-6 quantization bound."""
+    import math
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocr_ray.ops.stats import user_event_entropy
+
+    rows = (
+        [(1, "click")] * 8
+        + [(2, "click"), (2, "view"), (2, "purchase"), (2, "signup")] * 2
+    )
+    events = rd.from_arrow(
+        pa.table(
+            {
+                "user_id": pa.array([r[0] for r in rows], pa.int64()),
+                "event_type": pa.array([r[1] for r in rows], pa.string()),
+            }
+        )
+    )
+    out = {r["user_id"]: r for r in user_event_entropy(events).take_all()}
+    assert out[1]["n_types"] == 1 and out[1]["entropy"] == 0.0
+    assert out[2]["n_events"] == 8 and out[2]["n_types"] == 4
+    assert abs(out[2]["entropy"] - math.log(4)) < 2e-6
