@@ -43,39 +43,31 @@ def write_interleaved(table: pa.Table, path: str, max_rows_per_file: int = 100_0
 
 
 def _default_read_blocks(path) -> int | None:
-    """Finer input blocks for wide actor pools. The span-processing pool
-    consumes ONE task per input block, so at Ray's default ~2×CPU blocks
-    a 12-actor pool (16 CPUs) runs ~3 coarse waves and idles a third of
-    the pool through the last wave; 8×CPU blocks rebalance the stragglers
-    (measured +18% median at 16 CPUs / 24k docs under ambient load).
-    Narrow clusters lose more to per-task overhead than they gain
-    (measured −5% at 4 CPUs), so the default only kicks in from 12 CPUs,
-    and is capped at one block per file so the read never pays
-    row-group-splitting overhead on many-file corpora."""
-    try:
-        import ray
+    """Input block count for the read: the resource plan's
+    ``read_blocks`` (finer blocks for wide actor pools, see
+    ``context.plan_resources``), capped at one block per file so the
+    read never pays row-group-splitting overhead on many-file corpora;
+    None keeps Ray's default."""
+    import ray
 
-        if not ray.is_initialized():
-            return None
-        cpus = int(ray.cluster_resources().get("CPU", 0))
-    except Exception:  # pragma: no cover - ray import/cluster probing
+    if not ray.is_initialized():
         return None
-    if cpus < 12 or cpus > 24:
-        # measured envelope: +18% at 16 CPUs, −5% at 4 CPUs (per-task
-        # overhead outweighs rebalancing), and neutral-to-−4% at 32 CPUs
-        # (2×CPU blocks are already fine-grained there); outside the
-        # proven win range keep Ray's default
+    from ocr_ray.context import cluster_cpus, plan_resources
+
+    plan = plan_resources(cluster_cpus())
+    if not plan.read_blocks:
         return None
     # path may be a directory, a single file, or an explicit file list
     # (checkpoint partitions pass lists)
     n_files = (
         len(path) if isinstance(path, (list, tuple)) else len(input_files(path))
     )
-    if n_files < 2 * cpus:
-        # few big files: let Ray's own splitter choose (it can split a
-        # single parquet into row-group chunks)
+    if n_files < 2 * plan.cpus:
+        # few big files (fewer than Ray's default ~2×CPU blocks): let
+        # Ray's own splitter choose (it can split a single parquet into
+        # row-group chunks)
         return None
-    return min(8 * cpus, n_files)
+    return min(plan.read_blocks, n_files)
 
 
 def read_interleaved(path: str, *, columns: list[str] | None = None, **ray_kwargs):

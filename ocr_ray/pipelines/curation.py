@@ -214,11 +214,14 @@ def curation_scored(
     min_stopword_ratio: float = DEFAULT_MIN_STOPWORD_RATIO,
     max_punct_ratio: float = DEFAULT_MAX_PUNCT_RATIO,
     contam_k: int = DEFAULT_CONTAM_K,
-    concurrency=(1, 8),
+    concurrency=None,
 ):
-    """Pass 1: (doc_id, text) → slim scored rows for filter survivors."""
+    """Pass 1: (doc_id, text) → slim scored rows for filter survivors.
+    ``concurrency`` defaults to the resource plan's autoscaling pool."""
+    from ocr_ray.context import cluster_cpus, plan_resources
     from ocr_ray.ops.dedup import _with_schema
 
+    plan = plan_resources(cluster_cpus())
     return _with_schema(
         docs.map_batches(
             _ScoreStage,
@@ -230,7 +233,8 @@ def curation_scored(
                 "contam_k": contam_k,
             },
             batch_format="pyarrow",
-            concurrency=concurrency,
+            concurrency=concurrency or plan.pool,
+            num_cpus=plan.actor_cpus,
         ),
         _SCORED_SCHEMA,
     )
@@ -1272,9 +1276,11 @@ def run_curation_checkpointed(
     import ray
 
     from ocr_ray import io as _io
+    from ocr_ray.context import cluster_cpus, plan_resources
     from ocr_ray.ops.dedup import _with_schema
 
     config = config or CurationConfig()
+    plan = plan_resources(cluster_cpus())
     # incremental-state resolution: known_state is a prior run's output
     # dir; it implies state emission (the chain must stay extendable)
     eff_state = bool(config.incremental_state or config.known_state)
@@ -1310,6 +1316,13 @@ def run_curation_checkpointed(
     funnel: dict[str, int] = {}
     partitions_run = {"score": 0, "text": 0}
     partitions_skipped = {"score": 0, "text": 0}
+
+    def _wave_cap(pending) -> int:
+        """Partitions per Ray launch for one partitioned stage, sized
+        from that stage's own pending list."""
+        if stop_after_partitions is not None:
+            return max(1, stop_after_partitions)
+        return max(1, config.partitions_per_launch or len(pending))
 
     def _stop(stage: str):
         if stop_after_stage == stage:
@@ -1366,12 +1379,7 @@ def run_curation_checkpointed(
                 partitions_skipped["score"] += 1
             else:
                 pending.append(k)
-        wave_cap = (
-            stop_after_partitions
-            if stop_after_partitions is not None
-            else (config.partitions_per_launch or len(pending) or 1)
-        )
-        wave_cap = max(1, wave_cap)
+        wave_cap = _wave_cap(pending)
         for w0 in range(0, len(pending), wave_cap):
             wave = pending[w0 : w0 + wave_cap]
             files = [f for k in wave for f in partitions[k]]
@@ -1393,7 +1401,8 @@ def run_curation_checkpointed(
                     "contam_k": config.contam_k,
                 },
                 batch_format="pyarrow",
-                concurrency=(1, 8),
+                concurrency=plan.pool,
+                num_cpus=plan.actor_cpus,
             )
             wtmp = art.tmp(f"stage1-wave-{w0}")
             _with_schema(fused, _STAGE1_SCHEMA).write_parquet(
@@ -1596,9 +1605,11 @@ def run_curation_checkpointed(
 
             # updated fingerprint store: every fp this run admitted at
             # the exact stage, plus the prior store (incremental chain).
-            # The keepers files ARE the new fps (disjoint from the prior
-            # store by the anti-join above), so the store is hardlinked
-            # /copied driver-side — no Ray launch (VERDICT r04 #2)
+            # The keepers' fp column IS the new fps (disjoint from the
+            # prior store by the anti-join above), so the store is
+            # written driver-side — no Ray launch (VERDICT r04 #2) —
+            # as fp-only files, one schema in every generation; prior
+            # files already in that schema are hardlinked/copied
             tmp = art.tmp("fingerprints")
             srcs = sorted(art.dir("keepers").rglob("*.parquet"))
             if known_fps:
@@ -1607,6 +1618,11 @@ def run_curation_checkpointed(
                 )
             for i, f in enumerate(srcs):
                 dst = tmp / f"fp-{i:05d}.parquet"
+                if pa.parquet.read_schema(f).names != ["fp"]:
+                    pa.parquet.write_table(
+                        pa.parquet.read_table(f, columns=["fp"]), dst
+                    )
+                    continue
                 try:
                     _os.link(f, dst)
                 except OSError:
@@ -1740,6 +1756,7 @@ def run_curation_checkpointed(
                 partitions_skipped["text"] += 1
             else:
                 pending_t.append(k)
+        wave_cap = _wave_cap(pending_t)
         for w0 in range(0, len(pending_t), wave_cap):
             wave = pending_t[w0 : w0 + wave_cap]
             files = [f for k in wave for f in partitions[k]]
@@ -1847,7 +1864,8 @@ def run_curation_checkpointed(
                     "ref": keep_ref, "pm_ref": part_map_ref
                 },
                 batch_format="pyarrow",
-                concurrency=(1, 4),
+                concurrency=plan.pool,
+                num_cpus=plan.actor_cpus,
             ).write_parquet(str(wtmp), partition_cols=["part"])
             for k in wave:
                 src = wtmp / f"part={k}"
@@ -1874,6 +1892,7 @@ def run_curation_checkpointed(
         "wall_sec": round(_time.perf_counter() - t_start, 3),
         "aborted_at": aborted,
         "incremental": bool(known_fps or config.known_state),
+        "plan": plan.manifest(),
     }
     if aborted is None:
         metrics["docs_per_sec"] = (

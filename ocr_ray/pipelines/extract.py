@@ -13,10 +13,12 @@ interleaved spans.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from typing import Optional
 
 from ocr_ray import io
+from ocr_ray.context import ResourcePlan, cluster_cpus, plan_resources
 from ocr_ray.stages.explode import explode_spans
 from ocr_ray.stages.process import SpanProcessor
 from ocr_ray.stages.reassemble import reassemble
@@ -30,13 +32,17 @@ class ExtractConfig:
     normalize_spelling: bool = True
     enhance: bool = False
     score: bool = True
-    # actor-pool sizing for the OCR/repair stage; None → (1, cluster CPUs).
-    # Ray fuses the explode task stage into the actor stage, so batch_size
-    # is counted in DOCUMENTS (≈4.3 spans each): keep it small so work
-    # spreads across the pool and a media-heavy document doesn't pin one
-    # actor (SURVEY.md §4 "Skew").
-    ocr_concurrency: Optional[object] = None
+    # fixed size of the OCR/repair actor pool; None → the resource
+    # plan's pool (context.plan_resources: 0.75×CPUs, at least 1).
+    # Ray does not fuse the explode task into the actor stage (a map
+    # that changes row counts is never fused into a batch_size'd one),
+    # so the pool receives SPAN rows and batch_size counts spans: a
+    # batch holds parts of several documents, a media-heavy document
+    # spreads across the pool (SURVEY.md §4 "Skew"), and the doc_id
+    # shuffle brings each document's spans back together.
+    ocr_concurrency: Optional[int] = None
     ocr_batch_size: int = 16
+    # reassembly shuffle partitions; None → the resource plan's
     reassemble_partitions: Optional[int] = None
     # approved learned words merged into the kamus before the run (frozen
     # during it) — the reference's startup merge, see SpanProcessor
@@ -58,25 +64,24 @@ class ExtractConfig:
         }
 
 
-def _default_concurrency():
-    # a FIXED pool of 0.75×CPUs actors: Ray's autoscaling pool ramps up
-    # too slowly for short jobs (observed ~5 effective actors of 32),
-    # one-actor-per-CPU oversubscribes and thrashes, and the 25% slack is
-    # the same fraction at every cluster size so scaling measurements
-    # compare like with like.
-    import ray
-
-    if ray.is_initialized():
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    else:
-        cpus = 8
-    return max(1, round(0.75 * cpus))
+def extract_plan(config: ExtractConfig, pipelines: int = 1) -> ResourcePlan:
+    """The resource plan an extraction runs on: the cluster's plan (for
+    ``pipelines`` concurrent extractions), with the config's explicit
+    pool size and shuffle partition count in place of the planned."""
+    plan = plan_resources(
+        cluster_cpus(), pool_actors=config.ocr_concurrency, pipelines=pipelines
+    )
+    if config.reassemble_partitions:
+        plan = dataclasses.replace(
+            plan, shuffle_partitions=config.reassemble_partitions
+        )
+    return plan
 
 
 def extract_spans(ds, config: ExtractConfig | None = None):
     """Interleaved docs Dataset → processed span rows (SPAN_OUT_SCHEMA)."""
     config = config or ExtractConfig()
-    concurrency = config.ocr_concurrency or _default_concurrency()
+    plan = extract_plan(config)
     return ds.map_batches(
         explode_spans, batch_format="pyarrow", zero_copy_batch=True
     ).map_batches(
@@ -84,13 +89,8 @@ def extract_spans(ds, config: ExtractConfig | None = None):
         fn_constructor_kwargs=config.processor_kwargs(),
         batch_format="pyarrow",
         batch_size=config.ocr_batch_size,
-        concurrency=concurrency,
-        # 0.9, not 1.0: pool (0.75·cpus × 0.9 = 0.675·cpus) + a whole-CPU
-        # read task must still leave a fraction free for the hash-shuffle
-        # aggregators on the smallest clusters (4 CPUs: 3×0.9 + 1 = 3.7,
-        # 0.3 left) — whole-CPU actors hit exactly 4.0 and the shuffle
-        # deadlocks
-        num_cpus=0.9,
+        concurrency=plan.pool_actors,
+        num_cpus=plan.actor_cpus,
     )
 
 
@@ -98,7 +98,8 @@ def extract_documents(ds, config: ExtractConfig | None = None):
     """Interleaved docs Dataset → reassembled documents (DOC_OUT_SCHEMA)."""
     config = config or ExtractConfig()
     return reassemble(
-        extract_spans(ds, config), num_partitions=config.reassemble_partitions
+        extract_spans(ds, config),
+        num_partitions=extract_plan(config).shuffle_partitions,
     )
 
 

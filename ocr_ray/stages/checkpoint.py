@@ -23,10 +23,14 @@ import os
 import pathlib
 import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ocr_ray import io
-from ocr_ray.pipelines.extract import ExtractConfig, extract_documents
+from ocr_ray.pipelines.extract import (
+    ExtractConfig,
+    extract_documents,
+    extract_plan,
+)
 
 
 @dataclass
@@ -76,6 +80,8 @@ def partition_complete(output_path: str, k: int,
 def run_partition(
     files: list[str], output_path: str, k: int, config: ExtractConfig
 ) -> PartitionResult:
+    """Extract one partition into its directory and commit its manifest
+    row, which records the resource plan in ``extra``."""
     out = pathlib.Path(output_path)
     part_dir = _partition_dir(out, k)
     tmp_dir = out / "_tmp" / f"part-{k:05d}"
@@ -112,6 +118,7 @@ def run_partition(
         n_spans=n_spans,
         wall_sec=round(wall, 3),
         docs_per_sec=round(n_docs / wall, 3) if wall > 0 else 0.0,
+        extra={"plan": extract_plan(config).manifest()},
     )
     mp = _manifest_path(out, k)
     mp.parent.mkdir(parents=True, exist_ok=True)
@@ -192,45 +199,22 @@ def run_extract_checkpointed(
         else:
             todo.append((k, part_files))
 
+    # concurrent partitions each build their own actor pool and
+    # shuffle: the plan splits the cluster between them and says how
+    # many pools fit at once; each partition then runs its share
+    plan = extract_plan(config, pipelines=max_concurrent if len(todo) > 1 else 1)
     ran_results: dict[int, PartitionResult] = {}
-    if max_concurrent > 1 and len(todo) > 1:
+    if plan.pipelines > 1:
         from concurrent.futures import ThreadPoolExecutor
 
+        config = replace(
+            config,
+            ocr_concurrency=plan.pool_actors,
+            reassemble_partitions=plan.shuffle_partitions,
+        )
+
         _patch_http_fs_probe_for_threads()
-
-        if config.ocr_concurrency is None:
-            # each concurrent partition pipeline builds its OWN actor
-            # pool; left at the single-pipeline default (0.75×CPUs) the
-            # pools sum to max_concurrent × 0.75×CPUs and actor placement
-            # can never complete — every pipeline backpressures forever
-            # (observed on a 4-CPU cluster at max_concurrent=3). Divide
-            # the budget so the pools together keep the 0.75×CPUs total.
-            import dataclasses
-
-            import ray
-
-            cpus = int(ray.cluster_resources().get("CPU", 8)) if (
-                ray.is_initialized()
-            ) else 8
-            per_pipeline = max(1, round(0.75 * cpus / max_concurrent))
-            config = dataclasses.replace(config, ocr_concurrency=per_pipeline)
-        if config.reassemble_partitions is None:
-            # likewise shrink each pipeline's reassembly shuffle: N
-            # concurrent pipelines at the full 2×CPU partition count run
-            # N× the finalize tasks of the single-pipeline layout
-            import ray
-
-            cpus = int(ray.cluster_resources().get("CPU", 8)) if (
-                ray.is_initialized()
-            ) else 8
-            import dataclasses
-
-            config = dataclasses.replace(
-                config,
-                reassemble_partitions=max(4, (2 * cpus) // max_concurrent),
-            )
-
-        with ThreadPoolExecutor(max_workers=max_concurrent) as pool:
+        with ThreadPoolExecutor(max_workers=plan.pipelines) as pool:
             futures = {
                 k: pool.submit(run_partition, part_files, output_path, k, config)
                 for k, part_files in todo
@@ -274,6 +258,7 @@ def run_extract_checkpointed(
             if ran
             else 0.0
         ),
+        "plan": extract_plan(config).manifest(),
     }
     (out / "metrics.json").write_text(json.dumps(metrics, indent=1))
     return metrics

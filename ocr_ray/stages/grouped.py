@@ -46,16 +46,12 @@ def grouped_map(
     (append ``len(block)`` for end bounds). ``sort_within`` adds
     secondary sort columns inside each group (e.g. a timestamp for
     session/windowed logic)."""
-    from ocr_ray.context import apply_to_dataset
+    from ocr_ray.context import apply_to_dataset, cluster_cpus, plan_resources
     from ocr_ray.stages.reassemble import use_hash_shuffle
 
     keys = list(keys)
     if num_partitions is None:
-        import ray
-
-        # ≈ CPUs, not 2×: per-partition shuffle overhead is pure tax
-        # past one reduce wave (see context.py:configure)
-        num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)))
+        num_partitions = plan_resources(cluster_cpus()).shuffle_partitions
 
     if use_hash_shuffle(ds):
         # sort=False: co-location needs only the hash partition (the

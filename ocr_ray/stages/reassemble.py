@@ -174,12 +174,9 @@ def reassemble(ds, num_partitions: int | None = None):
     ``(doc_id, offset)`` feeding ``map_groups``-style per-block rebuild.
     """
     if num_partitions is None:
-        import ray
+        from ocr_ray.context import cluster_cpus, plan_resources
 
-        # ≈ CPUs, not 2×: one rebuild wave fills the cluster and the
-        # per-partition shuffle overhead is pure tax past that (see
-        # context.py:configure; headline A/B at 32 CPUs: 6.95 → 6.7 s)
-        num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)))
+        num_partitions = plan_resources(cluster_cpus()).shuffle_partitions
     if use_hash_shuffle(ds):
         # sort=False: group co-location needs only the hash partition; the
         # block rebuild sorts by (doc_id, offset) itself, and the shuffle

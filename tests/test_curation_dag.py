@@ -279,6 +279,90 @@ def test_runner_incremental_fingerprints(ray_session, corpus_dir, tmp_path):
     assert old <= fps and len(fps) == len(old) + 1
 
 
+def test_text_stage_waves_sized_from_own_pending(ray_session, corpus_dir,
+                                                tmp_path, monkeypatch):
+    """With every score partition already committed and the default
+    ``partitions_per_launch`` (0 = all pending partitions in one
+    launch), the text stage must write both pending partitions in ONE
+    Ray launch: its wave size comes from its own pending list, not from
+    the score stage's (empty) one."""
+    import ray.data as rd
+
+    from ocr_ray.pipelines.curation import (
+        CurationConfig,
+        run_curation_checkpointed,
+    )
+
+    out = tmp_path / "run"
+    m = run_curation_checkpointed(
+        str(corpus_dir), str(out), CurationConfig(partitions_per_launch=1),
+        stop_after_stage="score",
+    )
+    assert m["partitions_run"]["score"] == 2
+
+    launches = []
+    real = rd.read_parquet
+
+    def counting(paths, *a, **kw):
+        if kw.get("include_paths"):  # the text stage's per-wave scan
+            launches.append(list(paths))
+        return real(paths, *a, **kw)
+
+    monkeypatch.setattr(rd, "read_parquet", counting)
+    m2 = run_curation_checkpointed(str(corpus_dir), str(out), CurationConfig())
+    assert m2["partitions_skipped"]["score"] == 2
+    assert m2["partitions_run"]["text"] == 2
+    assert len(launches) == 1 and len(launches[0]) == 2
+
+
+def test_fingerprint_store_is_fp_only(ray_session, corpus_dir, tmp_path):
+    """Every generation of the incremental fingerprint store holds only
+    ``fp``-column files, so the store reads without a projection; the
+    chain still accumulates every generation's fingerprints."""
+    from ocr_ray.pipelines.curation import (
+        CurationConfig,
+        run_curation_checkpointed,
+    )
+
+    run_curation_checkpointed(
+        str(corpus_dir), str(tmp_path / "run1"), CurationConfig()
+    )
+    prev = tmp_path / "run1"
+    for gen, ids in ((2, (401, 402)), (3, (501, 502))):
+        shard = tmp_path / f"shard{gen}"
+        shard.mkdir()
+        pq.write_table(
+            pa.table(
+                {
+                    "doc_id": pa.array(ids, pa.int64()),
+                    "text": pa.array(
+                        [_doc(i, f"gen{gen}") for i in ids]
+                    ),
+                }
+            ),
+            shard / "part-0.parquet",
+        )
+        out = tmp_path / f"run{gen}"
+        m = run_curation_checkpointed(
+            str(shard), str(out),
+            CurationConfig(known_fingerprints=str(prev / "fingerprints")),
+        )
+        assert m["funnel"]["n_exact_keepers"] == 2
+        prev = out
+
+    n_fps = []
+    for gen in (1, 2, 3):
+        files = sorted((tmp_path / f"run{gen}" / "fingerprints").rglob(
+            "*.parquet"))
+        assert files
+        for f in files:
+            assert pq.read_schema(f).names == ["fp"], f
+        n_fps.append(
+            len(pq.read_table(tmp_path / f"run{gen}" / "fingerprints"))
+        )
+    assert n_fps[1] == n_fps[0] + 2 and n_fps[2] == n_fps[1] + 2
+
+
 def test_text_stage_rejects_shared_basename(ray_session, tmp_path,
                                             monkeypatch):
     """Two partitions whose files share a basename: the score stage,
