@@ -235,7 +235,10 @@ def test_runner_kill_and_resume_midway(ray_session, corpus_dir, tmp_path):
 def test_runner_incremental_fingerprints(ray_session, corpus_dir, tmp_path):
     """Incremental mode: a second shard run against the first run's
     fingerprint store drops every doc whose fingerprint is already
-    known — the growing-corpus operational shape."""
+    known — the growing-corpus operational shape. A third shard chained
+    onto the second run's store keeps accumulating, and every
+    generation's store holds only ``fp``-column files, so the store
+    reads without a projection."""
     from ocr_ray.pipelines.curation import (
         CurationConfig,
         run_curation_checkpointed,
@@ -278,6 +281,30 @@ def test_runner_incremental_fingerprints(ray_session, corpus_dir, tmp_path):
         old |= set(pq.read_table(f).column("fp").to_pylist())
     assert old <= fps and len(fps) == len(old) + 1
 
+    shard3 = tmp_path / "shard3"
+    shard3.mkdir()
+    pq.write_table(
+        pa.table(
+            {
+                "doc_id": pa.array([401, 402], pa.int64()),
+                "text": pa.array([_doc(i, "gen3") for i in (401, 402)]),
+            }
+        ),
+        shard3 / "part-0.parquet",
+    )
+    out3 = tmp_path / "run3"
+    m3 = run_curation_checkpointed(
+        str(shard3), str(out3),
+        CurationConfig(known_fingerprints=str(out2 / "fingerprints")),
+    )
+    assert m3["funnel"]["n_exact_keepers"] == 2
+    for out in (out1, out2, out3):
+        files = sorted((out / "fingerprints").rglob("*.parquet"))
+        assert files
+        for f in files:
+            assert pq.read_schema(f).names == ["fp"], f
+    assert len(pq.read_table(out3 / "fingerprints")) == len(fps) + 2
+
 
 def test_text_stage_waves_sized_from_own_pending(ray_session, corpus_dir,
                                                 tmp_path, monkeypatch):
@@ -313,54 +340,6 @@ def test_text_stage_waves_sized_from_own_pending(ray_session, corpus_dir,
     assert m2["partitions_skipped"]["score"] == 2
     assert m2["partitions_run"]["text"] == 2
     assert len(launches) == 1 and len(launches[0]) == 2
-
-
-def test_fingerprint_store_is_fp_only(ray_session, corpus_dir, tmp_path):
-    """Every generation of the incremental fingerprint store holds only
-    ``fp``-column files, so the store reads without a projection; the
-    chain still accumulates every generation's fingerprints."""
-    from ocr_ray.pipelines.curation import (
-        CurationConfig,
-        run_curation_checkpointed,
-    )
-
-    run_curation_checkpointed(
-        str(corpus_dir), str(tmp_path / "run1"), CurationConfig()
-    )
-    prev = tmp_path / "run1"
-    for gen, ids in ((2, (401, 402)), (3, (501, 502))):
-        shard = tmp_path / f"shard{gen}"
-        shard.mkdir()
-        pq.write_table(
-            pa.table(
-                {
-                    "doc_id": pa.array(ids, pa.int64()),
-                    "text": pa.array(
-                        [_doc(i, f"gen{gen}") for i in ids]
-                    ),
-                }
-            ),
-            shard / "part-0.parquet",
-        )
-        out = tmp_path / f"run{gen}"
-        m = run_curation_checkpointed(
-            str(shard), str(out),
-            CurationConfig(known_fingerprints=str(prev / "fingerprints")),
-        )
-        assert m["funnel"]["n_exact_keepers"] == 2
-        prev = out
-
-    n_fps = []
-    for gen in (1, 2, 3):
-        files = sorted((tmp_path / f"run{gen}" / "fingerprints").rglob(
-            "*.parquet"))
-        assert files
-        for f in files:
-            assert pq.read_schema(f).names == ["fp"], f
-        n_fps.append(
-            len(pq.read_table(tmp_path / f"run{gen}" / "fingerprints"))
-        )
-    assert n_fps[1] == n_fps[0] + 2 and n_fps[2] == n_fps[1] + 2
 
 
 def test_text_stage_rejects_shared_basename(ray_session, tmp_path,
