@@ -5,8 +5,8 @@ bench, tests, CLI) gets the same tuning:
 
 - ``plan_resources(cpus)`` sizes every Ray stage of the engine from the
   cluster's CPU count: the span actor pool and its per-actor CPUs, the
-  shuffle partitions and aggregators, the read-block count, the split
-  between concurrent checkpoint pipelines and the curation stage pools.
+  shuffle partitions and aggregators, the read-block count and the
+  curation stage pools.
   Every other module asks the plan instead of keeping its own numbers;
 - hash-shuffle strategy (required for key-based repartition — the
   reassembly shuffle — and the efficient path for groupbys);
@@ -36,7 +36,6 @@ class ResourcePlan:
     aggregators: int
     aggregator_cpus: float
     read_blocks: int
-    pipelines: int = 1
 
     def manifest(self) -> dict:
         """The plan's sizing as recorded in run manifests."""
@@ -54,51 +53,41 @@ class ResourcePlan:
         return (1, self.pool_actors)
 
 
-def plan_resources(
-    cpus: int, pool_actors: int | None = None, pipelines: int = 1
-) -> ResourcePlan:
+def plan_resources(cpus: int, pool_actors: int | None = None) -> ResourcePlan:
     """Size every Ray stage from the cluster's CPU count.
 
     The rule that keeps a run from deadlocking at any ``cpus >= 1``:
     every Ray Data task (read, explode, the hash shuffle's map tasks,
     rebuild, write) asks for one whole CPU — the shuffle's map tasks
-    hard-code it — so the actor pools of all pipelines running at once
-    reserve at most ``cpus - 1`` CPUs, and the shuffle aggregators
-    reserve none. One task can then always be scheduled next to the
-    pools, and every execution makes progress. On one CPU the pool
-    reserves nothing and time-shares the core with the tasks.
+    hard-code it — so the actor pool reserves at most ``cpus - 1``
+    CPUs, and the shuffle aggregators reserve none. One task can then
+    always be scheduled next to the pool, and every execution makes
+    progress. On one CPU the pool reserves nothing and time-shares the
+    core with the tasks.
 
     ``pool_actors`` overrides the planned size of the span pool
     (``ExtractConfig.ocr_concurrency``); the per-actor CPUs follow the
-    same rule for that size. ``pipelines`` asks for that many
-    extraction pipelines at once (the checkpoint runner's
-    ``max_concurrent``): the planned pool is split between them, and
-    ``plan.pipelines`` is how many of those pools fit the budget."""
+    same rule for that size."""
     cpus = max(1, int(cpus))
-    pipelines = max(1, int(pipelines))
     if pool_actors is None:
-        # a FIXED pool of 0.75×CPUs actors in all: Ray's autoscaling
+        # a FIXED pool of 0.75×CPUs actors: Ray's autoscaling
         # pool ramps up too slowly for short jobs (observed ~5 effective
         # actors of 32), one actor per CPU oversubscribes and thrashes,
         # and the same fraction at every cluster size keeps scaling
         # measurements comparable
-        pool_actors = max(1, int(0.75 * cpus / pipelines))
+        pool_actors = max(1, int(0.75 * cpus))
     pool_actors = max(1, int(pool_actors))
     # at most 0.9 CPU per actor: its kernels are single-threaded, and an
     # actor asking for exactly the whole CPU a task asks for makes Ray
     # fuse the upstream explode task into the pool, which moves explode
     # off the CPUs the pool leaves free and onto the actors
     actor_cpus = min(0.9, (cpus - 1) / pool_actors)
-    if actor_cpus:
-        pipelines = max(1, min(
-            pipelines, int((cpus - 1) / (pool_actors * actor_cpus))
-        ))
     # partitions ≈ CPUs: one reduce wave fills the cluster, and the
     # per-partition costs (finalize task, aggregator bookkeeping, tiny
     # output blocks) are pure overhead past that — measured at sf0.1 /
     # 32 CPUs, 64 → 32 partitions cut a two-shuffle plan from 19 s to
     # 6 s with identical results
-    shuffle_partitions = max(1, cpus // pipelines)
+    shuffle_partitions = cpus
     # aggregators only buffer and merge partitions (memory/IPC-bound):
     # one per two CPUs, the setting the partition measurement above ran
     aggregators = max(1, cpus // 2)
@@ -122,7 +111,6 @@ def plan_resources(
         aggregators=aggregators,
         aggregator_cpus=aggregator_cpus,
         read_blocks=read_blocks,
-        pipelines=pipelines,
     )
 
 

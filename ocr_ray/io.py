@@ -9,6 +9,7 @@ functions, so a Lance-enabled environment needs zero changes elsewhere.
 """
 from __future__ import annotations
 
+import os
 import pathlib
 
 import pyarrow as pa
@@ -94,6 +95,33 @@ def input_files(path: str) -> list[str]:
     if p.is_file():
         return [str(p)]
     return sorted(str(f) for f in p.glob("*.parquet"))
+
+
+def wave_part_map(partitions, wave) -> dict[str, int]:
+    """Input path → partition index for one wave's files, keyed by the
+    full path and by the basename (the ``include_paths`` column may
+    carry either form). A basename shared across partitions would route
+    rows to the wrong partition, so it is rejected. Both checkpoint
+    runners route a wave's rows to their partitions through this map."""
+    part_map: dict[str, int] = {}
+    for k in wave:
+        for f in partitions[k]:
+            part_map[f] = k
+            base = os.path.basename(f)
+            if part_map.setdefault(base, k) != k:
+                raise ValueError(
+                    f"duplicate input basename {base!r} across "
+                    "partitions — include_paths routing needs "
+                    "unique paths"
+                )
+    return part_map
+
+
+def part_of(part_map: dict[str, int], path: str) -> int:
+    """The partition of an ``include_paths`` value under ``wave_part_map``."""
+    if path in part_map:
+        return part_map[path]
+    return part_map[os.path.basename(path)]
 
 
 # --------------------------------------------------------- JSONL source

@@ -53,6 +53,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ocr_ray.io import part_of
 from ocr_ray.ops.analysis import normalize_for_fingerprint
 from ocr_ray.ops.decontam import DEFAULT_K as DEFAULT_CONTAM_K
 from ocr_ray.ops.decontam import _shingles as _contam_shingles
@@ -1032,12 +1033,6 @@ class _Stage1Fused(_ScoreStage):
             self._mh_a, self._mh_b = _minhash_params(lsh_num_perm)
             self._band_rows = _band_rows_factory(lsh_num_perm, lsh_bands)
 
-    def _part_of(self, path: str) -> int:
-        m = self.part_map
-        if path in m:
-            return m[path]
-        return m[_os.path.basename(path)]
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ocr_ray.ops.dedup import (
             _stable_hash64,
@@ -1073,7 +1068,7 @@ class _Stage1Fused(_ScoreStage):
             scored = self._score_doc(text)
             if scored is None:
                 continue
-            part = self._part_of(path)
+            part = part_of(self.part_map, path)
             fp, lang, n_tok, con = scored
             emit(part, "score", doc_id, fp=fp, lang=lang, n_tok=n_tok,
                  con=con)
@@ -1090,7 +1085,7 @@ class _Stage1Fused(_ScoreStage):
                     ).tobytes()
                 )
         if sig_bytes:
-            part_of = {d: p for d, p in sig_ids}
+            part_by_doc = {d: p for d, p in sig_ids}
             bt = self._band_rows(
                 pa.table(
                     {
@@ -1106,32 +1101,13 @@ class _Stage1Fused(_ScoreStage):
                 bt.column("band_hash").to_pylist(),
                 bt.column("doc_id").to_pylist(),
             ):
-                emit(part_of[did], "band", did, band=band, band_hash=bh)
+                emit(part_by_doc[did], "band", did, band=band, band_hash=bh)
         return pa.table(
             {
                 n: pa.array(cols[n], _STAGE1_SCHEMA.field(n).type)
                 for n in _STAGE1_SCHEMA.names
             }
         )
-
-
-def _wave_part_map(partitions, wave) -> dict[str, int]:
-    """Input path → partition index for one wave's files, keyed by the
-    full path and by the basename (the ``include_paths`` column may
-    carry either form). A basename shared across partitions would route
-    rows to the wrong partition, so it is rejected."""
-    part_map: dict[str, int] = {}
-    for k in wave:
-        for f in partitions[k]:
-            part_map[f] = k
-            base = _os.path.basename(f)
-            if part_map.setdefault(base, k) != k:
-                raise ValueError(
-                    f"duplicate input basename {base!r} across "
-                    "partitions — include_paths routing needs "
-                    "unique paths"
-                )
-    return part_map
 
 
 def _read_parquet_dir(path, columns=None):
@@ -1149,7 +1125,7 @@ class _Artifacts:
     directory committed by temp-write + ``os.replace`` with a manifest
     row written AFTER the rename; a resumed run skips every artifact
     whose manifest validates against the same inputs descriptor.
-    (Same commit discipline as stages/checkpoint.py:run_partition.)"""
+    (Same commit discipline as stages/checkpoint.py:run_wave.)"""
 
     def __init__(self, out: _pathlib.Path):
         self.out = out
@@ -1383,7 +1359,7 @@ def run_curation_checkpointed(
         for w0 in range(0, len(pending), wave_cap):
             wave = pending[w0 : w0 + wave_cap]
             files = [f for k in wave for f in partitions[k]]
-            part_map_ref = ray.put(_wave_part_map(partitions, wave))
+            part_map_ref = ray.put(_io.wave_part_map(partitions, wave))
             docs = _rd.read_parquet(
                 files, columns=["doc_id", "text"], include_paths=True
             )
@@ -1760,7 +1736,7 @@ def run_curation_checkpointed(
         for w0 in range(0, len(pending_t), wave_cap):
             wave = pending_t[w0 : w0 + wave_cap]
             files = [f for k in wave for f in partitions[k]]
-            part_map = _wave_part_map(partitions, wave)
+            part_map = _io.wave_part_map(partitions, wave)
             # directory-level pruning: only assignment buckets that
             # intersect some wave partition's doc_id range are read;
             # the wave's survivor set is one bounded sorted array
@@ -1831,9 +1807,7 @@ def run_curation_checkpointed(
                         pos_c = np.minimum(pos, len(self.ids) - 1)
                         mask = self.ids[pos_c] == ids
                     parts = [
-                        self.part_map.get(
-                            p, self.part_map.get(_os.path.basename(p))
-                        )
+                        part_of(self.part_map, p)
                         for p in t.column("path").to_pylist()
                     ]
                     kept = (

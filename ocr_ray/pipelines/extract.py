@@ -64,13 +64,11 @@ class ExtractConfig:
         }
 
 
-def extract_plan(config: ExtractConfig, pipelines: int = 1) -> ResourcePlan:
-    """The resource plan an extraction runs on: the cluster's plan (for
-    ``pipelines`` concurrent extractions), with the config's explicit
-    pool size and shuffle partition count in place of the planned."""
-    plan = plan_resources(
-        cluster_cpus(), pool_actors=config.ocr_concurrency, pipelines=pipelines
-    )
+def extract_plan(config: ExtractConfig) -> ResourcePlan:
+    """The resource plan an extraction runs on: the cluster's plan, with
+    the config's explicit pool size and shuffle partition count in place
+    of the planned."""
+    plan = plan_resources(cluster_cpus(), pool_actors=config.ocr_concurrency)
     if config.reassemble_partitions:
         plan = dataclasses.replace(
             plan, shuffle_partitions=config.reassemble_partitions

@@ -9,12 +9,16 @@ Layout under ``output_path``::
                                        span counts, wall seconds, docs/s
     metrics.json                       whole-run rollup
 
-A partition is the unit of resume: its output directory is written to a
-temp path and atomically renamed, and its manifest row is written only
-after the rename — a rerun skips every partition whose manifest row
-exists and validates, so a killed job repeats at most one partition's
-work. At 100 TB a partition is a group of input fragments; the streaming
-executor still pipelines freely inside each partition.
+A partition is the unit of resume, a wave of partitions the unit of
+execution. A wave (``partitions_per_launch`` partitions, all pending
+ones by default) runs as ONE Ray Data execution: its rows carry their
+partition index through the pipeline and are written partitioned by it
+into a temp path. Each partition's directory is then atomically renamed
+into place, and its manifest row is written only after the rename — a
+rerun skips every partition whose manifest row exists and validates, so
+a killed job repeats at most one wave's work. At 100 TB a partition is a
+group of input fragments; the streaming executor pipelines freely
+across the whole wave.
 """
 from __future__ import annotations
 
@@ -23,7 +27,11 @@ import os
 import pathlib
 import shutil
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 from ocr_ray import io
 from ocr_ray.pipelines.extract import (
@@ -77,87 +85,98 @@ def partition_complete(output_path: str, k: int,
     return True
 
 
-def run_partition(
-    files: list[str], output_path: str, k: int, config: ExtractConfig
-) -> PartitionResult:
-    """Extract one partition into its directory and commit its manifest
-    row, which records the resource plan in ``extra``."""
-    out = pathlib.Path(output_path)
-    part_dir = _partition_dir(out, k)
-    tmp_dir = out / "_tmp" / f"part-{k:05d}"
-    if tmp_dir.exists():
-        shutil.rmtree(tmp_dir)
-    tmp_dir.mkdir(parents=True)
+def tag_partitions(batch: pa.Table, part_map: dict[str, int]) -> pa.Table:
+    """Replace the read's ``path`` column with the int64 ``part`` (the
+    partition index) each row belongs to, under ``io.wave_part_map``."""
+    paths = pc.dictionary_encode(batch.column("path").combine_chunks())
+    parts = pa.array(
+        [io.part_of(part_map, p) for p in paths.dictionary.to_pylist()],
+        pa.int64(),
+    )
+    return batch.drop_columns(["path"]).append_column(
+        "part", pc.take(parts, paths.indices)
+    )
 
-    t0 = time.perf_counter()
-    docs = extract_documents(io.read_interleaved(files), config)
-    # count via streaming metadata from the written files, not take_all
-    docs.write_parquet(str(tmp_dir))
-    wall = time.perf_counter() - t0
 
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
+def _count(part_dir: pathlib.Path) -> tuple[int, int]:
+    """(documents, spans) in one written partition directory, from file
+    metadata and the ``n_spans`` column alone."""
     n_docs = n_spans = 0
-    for f in tmp_dir.glob("*.parquet"):
-        md = pq.ParquetFile(f)
-        n_docs += md.metadata.num_rows
-        # single-column read + kernel sum (no Python list round-trip)
+    for f in part_dir.glob("*.parquet"):
+        n_docs += pq.ParquetFile(f).metadata.num_rows
         n_spans += pc.sum(
             pq.read_table(f, columns=["n_spans"]).column("n_spans")
         ).as_py() or 0
+    return n_docs, n_spans
 
-    if part_dir.exists():
-        shutil.rmtree(part_dir)
-    os.replace(tmp_dir, part_dir)
 
-    result = PartitionResult(
-        partition=k,
-        files=[str(f) for f in files],
-        n_docs=n_docs,
-        n_spans=n_spans,
-        wall_sec=round(wall, 3),
-        docs_per_sec=round(n_docs / wall, 3) if wall > 0 else 0.0,
-        extra={"plan": extract_plan(config).manifest()},
+def run_wave(
+    partitions: list[list[str]],
+    wave: list[int],
+    output_path: str,
+    config: ExtractConfig,
+    index: int,
+) -> tuple[list[PartitionResult], float]:
+    """Extract a wave of partitions in ONE Ray Data execution, then
+    commit each partition on its own: rename its directory into place
+    and write its manifest row. Returns the wave's results and wall.
+
+    Rows are tagged with their partition on read and written with
+    ``partition_cols=["part"]``, so the wave pays one span pool, one
+    shuffle and one cold dictionary memo. A partition's ``wall_sec`` is
+    its document share of the wave wall; its manifest's ``extra`` holds
+    the resource plan, the wave index and the whole wave's wall."""
+    out = pathlib.Path(output_path)
+    tmp = out / "_tmp"
+    if tmp.exists():
+        shutil.rmtree(tmp)
+    tmp.mkdir(parents=True)
+    files = [f for k in wave for f in partitions[k]]
+
+    t0 = time.perf_counter()
+    ds = io.read_interleaved(files, include_paths=True).map_batches(
+        tag_partitions,
+        fn_kwargs={"part_map": io.wave_part_map(partitions, wave)},
+        batch_format="pyarrow",
+        zero_copy_batch=True,
     )
-    mp = _manifest_path(out, k)
-    mp.parent.mkdir(parents=True, exist_ok=True)
-    mp.write_text(json.dumps(result.__dict__, default=str))
-    return result
+    # the module global, so a caller can wrap it to observe each wave
+    docs = extract_documents(ds, config)
+    docs.write_parquet(str(tmp), partition_cols=["part"])
+    wall = time.perf_counter() - t0
 
-
-def _patch_http_fs_probe_for_threads() -> None:
-    """Make Ray's per-read HTTP-filesystem probe thread-safe.
-
-    ``path_util._is_http_filesystem`` retries
-    ``from fsspec.implementations.http import HTTPFileSystem`` on every
-    dataset construction and only catches ``ModuleNotFoundError``. When
-    aiohttp is absent that import fails and is retried each time; two
-    threads racing the retry can observe the partially-initialized
-    module and get a plain ``ImportError`` ("cannot import name …"),
-    which Ray does not catch. Either exception means the same thing —
-    no fsspec HTTP filesystem is available — so wrap the probe to
-    answer False for both. Idempotent."""
-    from ocr_ray.context import missing_ray_symbol
-
-    try:
-        import ray.data.datasource.path_util as pu
-    except ImportError as e:
-        raise missing_ray_symbol("ray.data.datasource.path_util") from e
-    probe = getattr(pu, "_is_http_filesystem", None)
-    if probe is None:
-        raise missing_ray_symbol("path_util._is_http_filesystem")
-    if getattr(probe, "_ocr_ray_safe", False):
-        return
-
-    def safe_probe(fs):
-        try:
-            return probe(fs)
-        except ImportError:
-            return False
-
-    safe_probe._ocr_ray_safe = True
-    pu._is_http_filesystem = safe_probe
+    counts = {k: _count(tmp / f"part={k}") for k in wave}
+    wave_docs = sum(n_docs for n_docs, _ in counts.values())
+    extra = {
+        "plan": extract_plan(config).manifest(),
+        "wave": index,
+        "wave_wall_sec": round(wall, 3),
+    }
+    results = []
+    for k in wave:
+        n_docs, n_spans = counts[k]
+        share = wall * (n_docs / wave_docs if wave_docs else 1 / len(wave))
+        src = tmp / f"part={k}"
+        src.mkdir(exist_ok=True)  # a partition without rows writes no files
+        part_dir = _partition_dir(out, k)
+        if part_dir.exists():
+            shutil.rmtree(part_dir)
+        os.replace(src, part_dir)
+        result = PartitionResult(
+            partition=k,
+            files=[str(f) for f in partitions[k]],
+            n_docs=n_docs,
+            n_spans=n_spans,
+            wall_sec=round(share, 3),
+            docs_per_sec=round(n_docs / share, 3) if share > 0 else 0.0,
+            extra=extra,
+        )
+        mp = _manifest_path(out, k)
+        mp.parent.mkdir(parents=True, exist_ok=True)
+        mp.write_text(json.dumps(result.__dict__, default=str))
+        results.append(result)
+    shutil.rmtree(tmp)
+    return results, wall
 
 
 def run_extract_checkpointed(
@@ -166,19 +185,16 @@ def run_extract_checkpointed(
     config: ExtractConfig | None = None,
     files_per_partition: int = 1,
     resume: bool = True,
-    max_concurrent: int = 1,
+    partitions_per_launch: int = 0,
 ) -> dict:
-    """Run the extraction pipeline over ``input_path`` partition by
-    partition; returns the whole-run metrics dict (also written to
+    """Run the extraction pipeline over ``input_path`` wave by wave;
+    returns the whole-run metrics dict (also written to
     ``output_path``/metrics.json).
 
-    ``max_concurrent > 1`` runs that many partitions' pipelines at once
-    (driver threads; Ray Data streams them concurrently) — useful for
-    many-SMALL-partition layouts where one partition can't saturate the
-    cluster. Each partition still commits independently (temp dir +
-    atomic rename + manifest), so resume semantics are unchanged;
-    ``wall_sec`` stays the SUM of per-partition walls (cost), while
-    overlapped wall-clock shows up in ``docs_per_sec`` only."""
+    ``partitions_per_launch`` partitions run as one wave, one Ray Data
+    execution (``run_wave``); 0 puts every pending partition in one
+    wave. Each partition still commits on its own, so a kill repeats at
+    most one wave. ``wall_sec`` is the sum of the wave walls."""
     config = config or ExtractConfig()
     files = io.input_files(input_path)
     partitions = [
@@ -188,7 +204,7 @@ def run_extract_checkpointed(
     out = pathlib.Path(output_path)
     out.mkdir(parents=True, exist_ok=True)
 
-    todo: list[tuple[int, list[str]]] = []
+    todo: list[int] = []
     skipped: dict[int, PartitionResult] = {}
     for k, part_files in enumerate(partitions):
         if resume and partition_complete(
@@ -197,32 +213,18 @@ def run_extract_checkpointed(
             row = json.loads(_manifest_path(out, k).read_text())
             skipped[k] = PartitionResult(**{**row, "skipped": True})
         else:
-            todo.append((k, part_files))
+            todo.append(k)
 
-    # concurrent partitions each build their own actor pool and
-    # shuffle: the plan splits the cluster between them and says how
-    # many pools fit at once; each partition then runs its share
-    plan = extract_plan(config, pipelines=max_concurrent if len(todo) > 1 else 1)
+    size = max(1, partitions_per_launch or len(todo))
     ran_results: dict[int, PartitionResult] = {}
-    if plan.pipelines > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        config = replace(
-            config,
-            ocr_concurrency=plan.pool_actors,
-            reassemble_partitions=plan.shuffle_partitions,
+    wave_walls: list[float] = []
+    for w0 in range(0, len(todo), size):
+        wave_results, wall = run_wave(
+            partitions, todo[w0 : w0 + size], output_path, config,
+            index=len(wave_walls),
         )
-
-        _patch_http_fs_probe_for_threads()
-        with ThreadPoolExecutor(max_workers=plan.pipelines) as pool:
-            futures = {
-                k: pool.submit(run_partition, part_files, output_path, k, config)
-                for k, part_files in todo
-            }
-            ran_results = {k: f.result() for k, f in futures.items()}
-    else:
-        for k, part_files in todo:
-            ran_results[k] = run_partition(part_files, output_path, k, config)
+        ran_results.update((r.partition, r) for r in wave_results)
+        wave_walls.append(wall)
 
     results: list[PartitionResult] = [
         skipped.get(k) or ran_results[k] for k in range(len(partitions))
@@ -245,16 +247,18 @@ def run_extract_checkpointed(
             orphans += 1
 
     ran = [r for r in results if not r.skipped]
+    wall = sum(wave_walls)
     metrics = {
         "partitions": len(partitions),
         "partitions_run": len(ran),
         "partitions_skipped": len(results) - len(ran),
         "orphans_removed": orphans,
+        "waves": len(wave_walls),
         "n_docs": sum(r.n_docs for r in results),
         "n_spans": sum(r.n_spans for r in results),
-        "wall_sec": round(sum(r.wall_sec for r in ran), 3),
+        "wall_sec": round(wall, 3),
         "docs_per_sec": (
-            round(sum(r.n_docs for r in ran) / max(sum(r.wall_sec for r in ran), 1e-9), 3)
+            round(sum(r.n_docs for r in ran) / max(wall, 1e-9), 3)
             if ran
             else 0.0
         ),

@@ -8,7 +8,8 @@ document (the skew exemplar) across many tasks/actors before the
 expensive OCR stage (SURVEY.md §4 "Skew").
 
 Pure ``pyarrow`` kernels (``flatten`` + ``list_parent_indices`` +
-``take``) — no per-row Python.
+``take``) — no per-row Python. An input ``part`` column (the checkpoint
+runner's partition tag) is carried onto every span row.
 """
 from __future__ import annotations
 
@@ -23,8 +24,14 @@ def explode_spans(batch: pa.Table) -> pa.Table:
     flat = spans.flatten()
     parents = pc.list_parent_indices(spans)
     doc_id = pc.take(batch.column("doc_id"), parents)
+    part = (
+        {"part": pc.take(batch.column("part"), parents)}
+        if "part" in batch.column_names
+        else {}
+    )
     return pa.table(
         {
+            **part,
             "doc_id": doc_id,
             "offset": flat.field("offset"),
             "kind": flat.field("kind"),

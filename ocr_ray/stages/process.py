@@ -191,6 +191,9 @@ class SpanProcessor:
         ]
 
         extra = {}
+        # the checkpoint runner's partition tag rides along to the rebuild
+        if "part" in batch.column_names:
+            extra["part"] = batch.column("part")
         if self.debug_worker_column:
             import os
 

@@ -64,21 +64,33 @@ def merge_doc_text(kinds: list[str], texts: list[str]) -> str:
 
 
 def rebuild_docs_block(batch: pa.Table) -> pa.Table:
+    """One block of span rows → its documents (DOC_OUT_SCHEMA). A span
+    table tagged with the checkpoint runner's ``part`` column is grouped
+    on ``(part, doc_id)``, so one ``doc_id`` in two input partitions
+    stays two documents, and the output keeps ``part`` as its first
+    column."""
+    tagged = "part" in batch.column_names
     if batch.num_rows == 0:
-        return DOC_OUT_SCHEMA.empty_table()
+        empty = DOC_OUT_SCHEMA.empty_table()
+        if tagged:
+            empty = empty.add_column(0, "part", pa.array([], pa.int64()))
+        return empty
 
-    t = batch.sort_by([("doc_id", "ascending"), ("offset", "ascending")])
+    keys = ["part", "doc_id"] if tagged else ["doc_id"]
+    t = batch.sort_by([(k, "ascending") for k in keys + ["offset"]])
     doc_ids = t.column("doc_id").combine_chunks()
     n = len(doc_ids)
 
-    # group boundaries without per-row Python: dictionary-encode doc_id to
-    # integer codes (sorted input → runs) and diff the code array
+    # group boundaries without per-row Python: dictionary-encode each key
+    # to integer codes (sorted input → runs) and diff the code arrays
     import pyarrow.compute as pc
 
-    codes = pc.dictionary_encode(doc_ids).indices.to_numpy(zero_copy_only=False)
-    change = np.empty(n, dtype=bool)
+    change = np.zeros(n, dtype=bool)
     change[0] = True
-    np.not_equal(codes[1:], codes[:-1], out=change[1:])
+    for k in keys:
+        codes = pc.dictionary_encode(t.column(k).combine_chunks()).indices
+        codes = codes.to_numpy(zero_copy_only=False)
+        change[1:] |= codes[1:] != codes[:-1]
     starts = np.flatnonzero(change)
     list_offsets = np.append(starts, n).astype(np.int32)
 
@@ -93,7 +105,8 @@ def rebuild_docs_block(batch: pa.Table) -> pa.Table:
     )
     spans_list = pa.ListArray.from_arrays(pa.array(list_offsets, pa.int32()), spans_struct)
 
-    group_ids = pc.take(doc_ids, pa.array(starts, pa.int64()))
+    starts_arr = pa.array(starts, pa.int64())
+    group_ids = pc.take(doc_ids, starts_arr)
     n_spans = np.diff(list_offsets).astype(np.int32)
 
     kinds = t.column("kind").to_pylist()
@@ -132,8 +145,14 @@ def rebuild_docs_block(batch: pa.Table) -> pa.Table:
     else:
         mean_q = np.full(len(starts), np.nan)
 
+    part = (
+        {"part": pc.take(t.column("part").combine_chunks(), starts_arr)}
+        if tagged
+        else {}
+    )
     return pa.table(
         {
+            **part,
             "doc_id": group_ids,
             "spans": spans_list,
             "doc_text": pa.array(doc_texts, pa.string()),

@@ -1,7 +1,8 @@
 """Checkpoint-overhead benchmark: straight pipeline vs checkpointed
 partitions at bench scale, fresh process per run (cold session, pinned).
 
-Usage: python scripts/bench_checkpoint.py [n_docs] [ncpu] [max_concurrent]
+Usage: python scripts/bench_checkpoint.py [n_docs] [ncpu] [partitions_per_launch]
+       [files_per_partition]
 Prints one JSON line with both throughputs and the overhead ratio;
 the headline claim lives in BASELINE.md.
 """
@@ -18,7 +19,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 N_DOCS = int(sys.argv[1]) if len(sys.argv) > 1 else 80_000
 NCPU = int(sys.argv[2]) if len(sys.argv) > 2 else 16
-MAX_CONCURRENT = int(sys.argv[3]) if len(sys.argv) > 3 else 4
+PARTITIONS_PER_LAUNCH = int(sys.argv[3]) if len(sys.argv) > 3 else 0
 FILES_PER_PARTITION = int(sys.argv[4]) if len(sys.argv) > 4 else 64
 
 _CHILD = r"""
@@ -46,7 +47,8 @@ else:
     from ocr_ray.stages.checkpoint import run_extract_checkpointed
 
     run_extract_checkpointed(
-        path, {out!r}, files_per_partition={fpp}, max_concurrent={max_concurrent}
+        path, {out!r}, files_per_partition={fpp},
+        partitions_per_launch={partitions_per_launch},
     )
 wall = time.perf_counter() - t0
 print("WALL", wall, flush=True)
@@ -63,7 +65,7 @@ def run_child(mode: str, out: str) -> float:
         n_docs=N_DOCS,
         mode=mode,
         out=out,
-        max_concurrent=MAX_CONCURRENT,
+        partitions_per_launch=PARTITIONS_PER_LAUNCH,
         fpp=FILES_PER_PARTITION,
     )
     cmd = [sys.executable, "-c", code]
@@ -91,7 +93,7 @@ def main() -> None:
             {
                 "n_docs": N_DOCS,
                 "num_cpus": NCPU,
-                "max_concurrent": MAX_CONCURRENT,
+                "partitions_per_launch": PARTITIONS_PER_LAUNCH,
                 "files_per_partition": FILES_PER_PARTITION,
                 "straight_wall": round(w_straight, 3),
                 "checkpoint_wall": round(w_ckpt, 3),
@@ -111,7 +113,7 @@ def run_child_resume(out: str) -> float:
         n_docs=N_DOCS,
         mode="checkpoint",
         out=out,
-        max_concurrent=MAX_CONCURRENT,
+        partitions_per_launch=PARTITIONS_PER_LAUNCH,
         fpp=FILES_PER_PARTITION,
     )
     cmd = [sys.executable, "-c", code]

@@ -1,13 +1,18 @@
-"""Checkpoint/resume: partitioned output, manifest lineage, skip-on-rerun."""
+"""Checkpoint/resume: partitioned output, manifest lineage, skip-on-rerun,
+and waves — several partitions in one Ray Data execution, each committed
+on its own."""
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ocr_ray import io, synth
 from ocr_ray.stages.checkpoint import run_extract_checkpointed
+from ocr_ray.stages.reassemble import DOC_OUT_SCHEMA
 
 
 def test_checkpoint_run_and_resume(ray_session, tmp_path):
@@ -72,54 +77,94 @@ def test_repartitioned_rerun_invalidates_and_prunes(ray_session, tmp_path):
     assert m3["partitions_run"] == 0 and m3["partitions_skipped"] == 2
 
 
-def test_concurrent_partitions_same_output(ray_session, tmp_path):
-    """max_concurrent=2 must produce byte-identical row content and the
-    same manifests/metrics as the serial path (many-small-partition
-    layouts overlap pipelines, commit protocol unchanged)."""
+def _partition_tables(root: pathlib.Path) -> dict[str, pa.Table]:
+    """Every ``part=K`` directory's rows, in ``doc_id`` order."""
+    return {
+        d.name: pa.concat_tables(
+            [pq.read_table(f) for f in sorted(d.glob("*.parquet"))]
+            or [DOC_OUT_SCHEMA.empty_table()]
+        ).sort_by("doc_id")
+        for d in sorted(root.glob("part=*"))
+    }
+
+
+def _assert_wave_telemetry(out: pathlib.Path, metrics: dict) -> None:
+    """Each partition's wall is its document share of its wave's wall,
+    so the partitions' walls sum to the run's (within rounding)."""
+    rows = [json.loads(p.read_text()) for p in sorted(out.glob("_manifest/*.json"))]
+    waves = {r["extra"]["wave"]: r["extra"]["wave_wall_sec"] for r in rows}
+    assert len(waves) == metrics["waves"]
+    assert abs(sum(waves.values()) - metrics["wall_sec"]) <= 0.001 * len(waves)
+    shares = sum(r["wall_sec"] for r in rows)
+    assert abs(shares - metrics["wall_sec"]) <= 0.001 * len(rows)
+    for r in rows:
+        assert r["wall_sec"] <= r["extra"]["wave_wall_sec"] + 0.001
+
+
+def test_wave_output_equals_one_partition_per_launch(ray_session, tmp_path):
+    """One wave of every partition writes exactly the rows that one
+    partition per launch writes, partition by partition and column by
+    column; files hold DOC_OUT_SCHEMA, without the routing ``part``
+    column; and one ``doc_id`` present in two input files stays two
+    documents in two partitions (the rebuild groups on ``(part,
+    doc_id)``, not on ``doc_id`` alone)."""
     from ocr_ray.pipelines.extract import ExtractConfig
 
     table = synth.generate_interleaved(n_docs=24, seed=9)
     inp = tmp_path / "input"
-    io.write_interleaved(table, str(inp), max_rows_per_file=6)  # 4 files
-    out_serial = tmp_path / "serial"
-    out_conc = tmp_path / "conc"
+    inp.mkdir()
+    shared = table.column("doc_id")[0].as_py()
+    for k in range(4):
+        t = table.slice(6 * k, 6)
+        if k == 3:  # file 3's first document reuses file 0's doc_id
+            ids = [shared] + t.column("doc_id").to_pylist()[1:]
+            t = t.set_column(0, "doc_id", pa.array(ids, pa.string()))
+        pq.write_table(t, inp / f"part-{k:05d}.parquet")
 
-    # one OCR actor per pipeline: two concurrent FIXED pools at the
-    # default 0.75×CPU sizing would oversubscribe the 4-CPU test session
-    # and starve the shuffle (the deadlock documented in context.py)
     cfg = ExtractConfig(ocr_concurrency=1)
-    m1 = run_extract_checkpointed(
-        str(inp), str(out_serial), config=cfg, files_per_partition=1
+    m_wave = run_extract_checkpointed(str(inp), str(tmp_path / "wave"), config=cfg)
+    m_one = run_extract_checkpointed(
+        str(inp), str(tmp_path / "one"), config=cfg, partitions_per_launch=1
     )
-    m2 = run_extract_checkpointed(
-        str(inp), str(out_conc), config=cfg, files_per_partition=1,
-        max_concurrent=2,
-    )
-    assert m1["partitions"] == m2["partitions"] == 4
-    assert m2["partitions_run"] == 4
-    assert m1["n_docs"] == m2["n_docs"] == 24
-    assert m1["n_spans"] == m2["n_spans"]
+    assert (m_wave["waves"], m_one["waves"]) == (1, 4)
+    assert m_wave["partitions_run"] == m_one["partitions_run"] == 4
+    assert m_wave["n_docs"] == m_one["n_docs"] == 24
+    assert m_wave["n_spans"] == m_one["n_spans"]
 
-    def doc_texts(root):
-        rows = {}
-        for f in root.glob("part=*/*.parquet"):
-            t = pq.read_table(f, columns=["doc_id", "doc_text"])
-            rows.update(zip(t.column("doc_id").to_pylist(),
-                            t.column("doc_text").to_pylist()))
-        return rows
+    wave = _partition_tables(tmp_path / "wave")
+    one = _partition_tables(tmp_path / "one")
+    assert list(wave) == [f"part={k:05d}" for k in range(4)]
+    assert list(wave) == list(one)
+    for name in wave:
+        assert wave[name].equals(one[name]), name
 
-    assert doc_texts(out_serial) == doc_texts(out_conc)
+    for f in (tmp_path / "wave").glob("part=*/*.parquet"):
+        assert pq.read_schema(f).equals(DOC_OUT_SCHEMA), f
+
+    for k in (0, 3):
+        t = wave[f"part={k:05d}"]
+        src = table.slice(6 * k, 1)
+        row = t.filter(pa.compute.equal(t.column("doc_id"), shared))
+        assert row.num_rows == 1, k
+        assert row.column("n_spans")[0].as_py() == len(src.column("spans")[0])
+
+    _assert_wave_telemetry(tmp_path / "wave", m_wave)
+    _assert_wave_telemetry(tmp_path / "one", m_one)
+
+
+def _file_digests(paths) -> dict:
+    return {
+        f: (f.stat().st_mtime_ns, hashlib.sha256(f.read_bytes()).hexdigest())
+        for f in paths
+    }
 
 
 def test_concurrent_kill_and_resume_no_reprocessing(ray_session, tmp_path, monkeypatch):
-    """Mid-run death with max_concurrent > 1 (VERDICT r02): a run that
-    dies after committing some partitions must resume with ZERO
-    re-processed partitions and identical output. The kill is injected
-    by making the partition runner raise once a commit quota is hit —
-    committed partitions have already done their atomic rename +
-    manifest write, exactly the state a SIGKILL leaves behind."""
-    import threading
-
+    """Death after the first wave of three partitions commits: the
+    resume runs exactly the other five partitions, leaves every
+    committed byte untouched and completes the output. Committed
+    partitions have done their atomic rename and manifest write, the
+    state a SIGKILL between waves leaves behind."""
     from ocr_ray.stages import checkpoint as cp
 
     table = synth.generate_interleaved(n_docs=120, seed=7)
@@ -127,48 +172,61 @@ def test_concurrent_kill_and_resume_no_reprocessing(ray_session, tmp_path, monke
     io.write_interleaved(table, str(inp), max_rows_per_file=15)  # 8 files
     out = tmp_path / "out"
 
-    real_run = cp.run_partition
-    lock = threading.Lock()
-    done = {"n": 0}
+    real_extract = cp.extract_documents
+    calls = {"n": 0}
 
-    def dying_run(files, output_path, k, config):
-        with lock:
-            if done["n"] >= 3:
-                raise RuntimeError("simulated mid-run death")
-        result = real_run(files, output_path, k, config)
-        with lock:
-            done["n"] += 1
-        return result
+    def dying_extract(ds, config=None):
+        calls["n"] += 1
+        if calls["n"] > 1:
+            raise RuntimeError("simulated mid-run death")
+        return real_extract(ds, config)
 
-    monkeypatch.setattr(cp, "run_partition", dying_run)
+    monkeypatch.setattr(cp, "extract_documents", dying_extract)
     try:
-        cp.run_extract_checkpointed(
-            str(inp), str(out), files_per_partition=1, max_concurrent=3
-        )
+        cp.run_extract_checkpointed(str(inp), str(out), partitions_per_launch=3)
         raise AssertionError("expected the injected death to propagate")
     except RuntimeError:
         pass
-    monkeypatch.setattr(cp, "run_partition", real_run)
+    monkeypatch.setattr(cp, "extract_documents", real_extract)
 
     committed = sorted(out.glob("_manifest/part-*.json"))
-    assert 1 <= len(committed) < 8, "death must land mid-run"
-    before = {
-        f: f.stat().st_mtime_ns
-        for f in list(out.glob("part=*/*.parquet")) + committed
-    }
+    assert [p.name for p in committed] == [f"part-{k:05d}.json" for k in range(3)]
+    before = _file_digests(list(out.glob("part=*/*.parquet")) + committed)
 
-    metrics = cp.run_extract_checkpointed(
-        str(inp), str(out), files_per_partition=1, max_concurrent=3
-    )
+    metrics = cp.run_extract_checkpointed(str(inp), str(out), partitions_per_launch=3)
     assert metrics["partitions"] == 8
-    assert metrics["partitions_skipped"] == len(committed)
-    assert metrics["partitions_run"] == 8 - len(committed)
+    assert metrics["partitions_skipped"] == 3
+    assert metrics["partitions_run"] == 5
+    assert metrics["waves"] == 2
     assert metrics["n_docs"] == 120
     # zero re-processing: every pre-death output byte untouched
-    after = {f: f.stat().st_mtime_ns for f in before}
-    assert before == after
+    assert _file_digests(before) == before
 
     total_rows = sum(
         pq.ParquetFile(f).metadata.num_rows for f in out.glob("part=*/*.parquet")
     )
     assert total_rows == 120
+
+
+def test_zero_row_file_gets_its_partition(ray_session, tmp_path):
+    """A zero-row input file in a wave still gets its ``part=K``
+    directory and an ``n_docs=0`` manifest row, and a rerun skips it."""
+    from ocr_ray.synth import INTERLEAVED_SCHEMA
+
+    table = synth.generate_interleaved(n_docs=10, seed=4)
+    inp = tmp_path / "input"
+    inp.mkdir()
+    pq.write_table(table.slice(0, 5), inp / "part-00000.parquet")
+    pq.write_table(INTERLEAVED_SCHEMA.empty_table(), inp / "part-00001.parquet")
+    pq.write_table(table.slice(5, 5), inp / "part-00002.parquet")
+    out = tmp_path / "out"
+
+    m1 = run_extract_checkpointed(str(inp), str(out))
+    assert (m1["partitions_run"], m1["waves"], m1["n_docs"]) == (3, 1, 10)
+    assert (out / "part=00001").is_dir()
+    row = json.loads((out / "_manifest" / "part-00001.json").read_text())
+    assert (row["n_docs"], row["n_spans"]) == (0, 0)
+
+    m2 = run_extract_checkpointed(str(inp), str(out))
+    assert (m2["partitions_run"], m2["partitions_skipped"], m2["waves"]) == (0, 3, 0)
+    assert m2["n_docs"] == 10

@@ -34,17 +34,14 @@ PKG = ROOT / "ocr_ray"
 # ------------------------------------------------------------------ plan
 
 
-@pytest.mark.parametrize("pipelines", [1, 2, 3])
-def test_plan_leaves_one_task_cpu_at_every_size(pipelines):
+def test_plan_leaves_one_task_cpu_at_every_size():
     for cpus in range(1, 65):
-        plan = plan_resources(cpus, pipelines=pipelines)
+        plan = plan_resources(cpus)
         assert plan.cpus == cpus
         assert plan.pool_actors >= 1
         assert 0 <= plan.actor_cpus < 1
-        # every pool of the pipelines that run at once, plus one
-        # whole-CPU task, fits the cluster
-        assert 1 <= plan.pipelines <= pipelines
-        assert plan.pool_actors * plan.actor_cpus * plan.pipelines <= cpus - 1 + 1e-9
+        # the pool plus one whole-CPU task fits the cluster
+        assert plan.pool_actors * plan.actor_cpus <= cpus - 1 + 1e-9
         assert plan.shuffle_partitions >= 1 and plan.aggregators >= 1
         assert plan.aggregator_cpus == 0
         assert plan.pool == (1, plan.pool_actors)
@@ -334,18 +331,19 @@ io.write_interleaved(synth.generate_interleaved(n_docs=30, seed=3),
 
 
 def test_cpus_free_after_execution_without_collect(tmp_path):
-    """One partition, then a trivial execution: the first execution's
-    pool actor must be gone, and every CPU free, within 5 s, while the
-    driver's garbage collector is off and nothing calls gc.collect().
-    One actor, so that the pool also fits 2 CPUs under older sizing."""
+    """One file through the checkpoint runner, then a trivial execution:
+    the first execution's pool actor must be gone, and every CPU free,
+    within 5 s, while the driver's garbage collector is off and nothing
+    calls gc.collect(). One actor, so that the pool also fits 2 CPUs
+    under older sizing."""
     code = _SESSION.format(cpus=2, tmp=str(tmp_path)) + textwrap.dedent(
         """
         gc.disable()
-        from ocr_ray.stages.checkpoint import run_partition
+        from ocr_ray.stages.checkpoint import run_extract_checkpointed
         from ocr_ray.pipelines.extract import ExtractConfig
         files = io.input_files(str(tmp / "in"))
-        run_partition(files[:1], str(tmp / "out"), 0,
-                      ExtractConfig(ocr_concurrency=1))
+        run_extract_checkpointed(files[0], str(tmp / "out"),
+                                 ExtractConfig(ocr_concurrency=1))
         ray.data.range(4).map_batches(lambda b: b).take_all()
         deadline = time.monotonic() + 5
         while time.monotonic() < deadline:
