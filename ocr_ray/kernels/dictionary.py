@@ -85,8 +85,10 @@ def _multi_word_patterns() -> tuple[tuple[str, re.Pattern, str], ...]:
     reference recompiles all 277 per call — a deliberate improvement).
     Because the pattern is exactly the escaped key with flexible
     whitespace and case, "pattern can match ``text``" is EQUIVALENT to
-    "key is a substring of the whitespace-normalized lowercased text" —
-    the prefilter in ``apply_multi_word_corrections`` relies on that.
+    "key is a substring of the whitespace-normalized lowercased text",
+    once the non-ASCII characters that case-fold onto ASCII letters are
+    folded — the prefilter in ``apply_multi_word_corrections`` relies on
+    that.
     """
     table = data.multi_word_corrections()
     out = []
@@ -108,35 +110,59 @@ def _multi_repl_factory(correct: str):
     return repl
 
 
+@functools.lru_cache(maxsize=1)
+def _keys_by_bigram() -> tuple[tuple[str, frozenset[str]], ...]:
+    """The multi-word keys grouped by their first two characters. A key
+    that is a substring of a text carries those two characters into it,
+    so only the groups whose bigram occurs in the text can hold a match."""
+    groups: dict[str, set[str]] = {}
+    for key, _, _ in _multi_word_patterns():
+        groups.setdefault(key[:2], set()).add(key)
+    return tuple((bigram, frozenset(keys)) for bigram, keys in groups.items())
+
+
+# Under re.IGNORECASE an ASCII letter also matches these characters,
+# which str.lower() does not turn into it (the Kelvin sign it does).
+_FOLD_TO_ASCII = str.maketrans({"ſ": "s", "ı": "i", "İ": "i"})
+
+
+def _multi_word_candidates(text: str) -> set[str]:
+    """The keys whose patterns can match ``text``: the keys that are
+    substrings of its whitespace-normalized lowercase form, with the
+    characters ``re.IGNORECASE`` folds onto ASCII letters folded first
+    (see ``_multi_word_patterns``)."""
+    norm = " ".join(text.translate(_FOLD_TO_ASCII).lower().split())
+    return {
+        key
+        for bigram, keys in _keys_by_bigram()
+        if bigram in norm
+        for key in keys
+        if key in norm
+    }
+
+
 def apply_multi_word_corrections(text: str) -> str:
     """Whole-text multi-word phrase repair; First-upper matches use
     ``str.title()`` (reference :1156-1161).
 
-    Hot-path shape: a pattern can only match when its normalized key is
-    a substring of the normalized text (see ``_multi_word_patterns``),
-    so one cheap substring scan selects the few applicable patterns and
-    the 277-pattern sub loop runs on those alone — byte-identical
-    output, ~10× less regex work on typical spans. Exactness guard: if
-    a replacement INTRODUCES a phrase a skipped pattern would have
-    caught mid-sequence (33 correction values contain other keys), fall
-    back to the full sequential pass on the original text."""
-    entries = _multi_word_patterns()
-    norm = " ".join(text.lower().split())
-    cand = {key for key, _, _ in entries if key in norm}
+    The reference runs all 277 patterns in sequence. A pattern whose key
+    is not a candidate for the current text (``_multi_word_candidates``)
+    cannot match it, so it is skipped: byte-identical output, a few
+    regex passes on a typical span. A replacement can create a key a
+    later pattern matches (33 correction values contain other keys) or
+    consume one, so the candidates are recomputed whenever a
+    replacement changes the text."""
+    cand = _multi_word_candidates(text)
     if not cand:
         return text
     result = text
-    for key, pattern, correct in entries:
+    for key, pattern, correct in _multi_word_patterns():
         if key not in cand:
             continue
-        result = pattern.sub(_multi_repl_factory(correct), result)
-    res_norm = " ".join(result.lower().split())
-    if any(
-        key in res_norm for key, _, _ in entries if key not in cand
-    ):  # pragma: no cover - requires a correction to introduce a key
-        result = text
-        for _, pattern, correct in entries:
-            result = pattern.sub(_multi_repl_factory(correct), result)
+        changed = pattern.sub(_multi_repl_factory(correct), result)
+        if changed != result:
+            result = changed
+            cand = _multi_word_candidates(result)
     return result
 
 
@@ -167,6 +193,11 @@ def correct_with_stats(text: str) -> tuple[str, int]:
     for token in _TOKEN_SCAN.findall(text):
         if not token.strip():
             out.append(token)
+            continue
+        if token.isalpha():
+            # the common case: neither glued-digit regex can match, and
+            # the affixed-word regex matches the whole token (\w ⊇ alpha)
+            out.append(fix(token))
             continue
 
         glued = _NUM_THEN_WORD.match(token)

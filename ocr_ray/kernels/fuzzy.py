@@ -55,17 +55,30 @@ def _lcs_len(a: str, b: str) -> int:
 @functools.lru_cache(maxsize=1)
 def _kamus_char_index():
     """Vectorized pruning structures: per-candidate length vector and a
-    (n_candidates × 128) ASCII character-count matrix. Since the LCS is a
-    common subsequence of both strings, ``LCS(a,b) ≤ Σ_c min(count_a(c),
-    count_b(c))``, giving a cheap upper bound on the indel ratio for the
-    whole kamus in one numpy pass."""
+    (128 × n_candidates) ASCII character-count matrix, one row per
+    character. Since the LCS is a common subsequence of both strings,
+    ``LCS(a,b) ≤ Σ_c min(count_a(c), count_b(c))``, giving a cheap upper
+    bound on the indel ratio for the whole kamus in one numpy pass. Only
+    the characters of the word contribute to that sum, so the pass reads
+    just their rows."""
     cands = data.kamus_sorted()
     lengths = np.array([len(c) for c in cands], dtype=np.float64)
     counts = np.zeros((len(cands), 128), dtype=np.int16)
     for i, cand in enumerate(cands):
         b = np.frombuffer(cand.encode("ascii", "replace"), dtype=np.uint8)
         counts[i] = np.bincount(b & 0x7F, minlength=128)
-    return cands, lengths, counts
+    return cands, lengths, np.ascontiguousarray(counts.T)
+
+
+def _ratio_bound(word_lower: str) -> np.ndarray:
+    """The character-count upper bound on ``indel_ratio(word_lower, c)``
+    for every kamus candidate ``c``, in ``kamus_sorted()`` order."""
+    _, lengths, by_char = _kamus_char_index()
+    wb = np.frombuffer(word_lower.encode("ascii", "replace"), dtype=np.uint8)
+    wcounts = np.bincount(wb & 0x7F, minlength=128).astype(np.int16)
+    chars = np.flatnonzero(wcounts)
+    common = np.minimum(by_char[chars], wcounts[chars, None]).sum(axis=0)
+    return 200.0 * common / (lengths + len(word_lower))
 
 
 @functools.lru_cache(maxsize=65536)
@@ -84,13 +97,8 @@ def best_dictionary_match(word_lower: str, threshold: int = 65) -> str | None:
     if word_lower in data.kamus():
         return None
 
-    cands, lengths, counts = _kamus_char_index()
-    lw = len(word_lower)
-    wb = np.frombuffer(word_lower.encode("ascii", "replace"), dtype=np.uint8)
-    wcounts = np.bincount(wb & 0x7F, minlength=128).astype(np.int16)
-
-    common = np.minimum(counts, wcounts[None, :]).sum(axis=1)
-    bound = 200.0 * common / (lengths + lw)
+    cands = _kamus_char_index()[0]
+    bound = _ratio_bound(word_lower)
     viable = np.flatnonzero(bound >= threshold)
 
     best: str | None = None

@@ -34,14 +34,14 @@ class ExtractConfig:
     score: bool = True
     # fixed size of the OCR/repair actor pool; None → the resource
     # plan's pool (context.plan_resources: 0.75×CPUs, at least 1).
-    # Ray does not fuse the explode task into the actor stage (a map
-    # that changes row counts is never fused into a batch_size'd one),
-    # so the pool receives SPAN rows and batch_size counts spans: a
-    # batch holds parts of several documents, a media-heavy document
-    # spreads across the pool (SURVEY.md §4 "Skew"), and the doc_id
-    # shuffle brings each document's spans back together.
+    # Ray does not fuse the explode task into the actor stage, so the
+    # pool receives SPAN rows, one call per exploded input block: the
+    # pool's unit of work is the read's block, and a media-heavy
+    # document spreads across the pool only as far as the read splits
+    # the input into blocks (SURVEY.md §4 "Skew"). A block holds parts
+    # of several documents, and the doc_id shuffle brings each
+    # document's spans back together.
     ocr_concurrency: Optional[int] = None
-    ocr_batch_size: int = 16
     # reassembly shuffle partitions; None → the resource plan's
     reassemble_partitions: Optional[int] = None
     # approved learned words merged into the kamus before the run (frozen
@@ -86,7 +86,7 @@ def extract_spans(ds, config: ExtractConfig | None = None):
         SpanProcessor,
         fn_constructor_kwargs=config.processor_kwargs(),
         batch_format="pyarrow",
-        batch_size=config.ocr_batch_size,
+        batch_size=None,
         concurrency=plan.pool_actors,
         num_cpus=plan.actor_cpus,
     )

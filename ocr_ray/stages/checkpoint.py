@@ -123,7 +123,9 @@ def run_wave(
 
     Rows are tagged with their partition on read and written with
     ``partition_cols=["part"]``, so the wave pays one span pool, one
-    shuffle and one cold dictionary memo. A partition's ``wall_sec`` is
+    shuffle and one cold dictionary memo. Files whose footer counts no
+    rows are left out of the read, and a wave without rows runs no
+    execution. A partition's ``wall_sec`` is
     its document share of the wave wall; its manifest's ``extra`` holds
     the resource plan, the wave index and the whole wave's wall."""
     out = pathlib.Path(output_path)
@@ -131,18 +133,26 @@ def run_wave(
     if tmp.exists():
         shutil.rmtree(tmp)
     tmp.mkdir(parents=True)
-    files = [f for k in wave for f in partitions[k]]
+    # a zero-row file would reach the pipeline as a schema-less block;
+    # its partition is committed empty below all the same
+    files = [
+        f
+        for k in wave
+        for f in partitions[k]
+        if pq.ParquetFile(f).metadata.num_rows
+    ]
 
     t0 = time.perf_counter()
-    ds = io.read_interleaved(files, include_paths=True).map_batches(
-        tag_partitions,
-        fn_kwargs={"part_map": io.wave_part_map(partitions, wave)},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    # the module global, so a caller can wrap it to observe each wave
-    docs = extract_documents(ds, config)
-    docs.write_parquet(str(tmp), partition_cols=["part"])
+    if files:
+        ds = io.read_interleaved(files, include_paths=True).map_batches(
+            tag_partitions,
+            fn_kwargs={"part_map": io.wave_part_map(partitions, wave)},
+            batch_format="pyarrow",
+            zero_copy_batch=True,
+        )
+        # the module global, so a caller can wrap it to observe each wave
+        docs = extract_documents(ds, config)
+        docs.write_parquet(str(tmp), partition_cols=["part"])
     wall = time.perf_counter() - t0
 
     counts = {k: _count(tmp / f"part={k}") for k in wave}

@@ -2,7 +2,7 @@
 
 One callable class, used as a Ray actor pool via
 ``ds.map_batches(SpanProcessor, fn_constructor_kwargs=..., concurrency=N,
-batch_size=B, batch_format="pyarrow")``:
+batch_size=None, batch_format="pyarrow")``, one call per input block:
 
 - ``__init__`` runs once per actor: constructs the OCR engine, loads the
   frozen dictionary tables and pre-compiles every kernel regex (the

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import pathlib
 
 import pyarrow as pa
@@ -208,9 +209,12 @@ def test_concurrent_kill_and_resume_no_reprocessing(ray_session, tmp_path, monke
     assert total_rows == 120
 
 
-def test_zero_row_file_gets_its_partition(ray_session, tmp_path):
+def test_zero_row_file_gets_its_partition(ray_session, tmp_path, monkeypatch):
     """A zero-row input file in a wave still gets its ``part=K``
-    directory and an ``n_docs=0`` manifest row, and a rerun skips it."""
+    directory and an ``n_docs=0`` manifest row, and a rerun skips it.
+    The file never reaches the read: Ray would turn it into a
+    schema-less block and warn that an operator produced a bundle with
+    a different schema. A wave of zero-row files runs no execution."""
     from ocr_ray.synth import INTERLEAVED_SCHEMA
 
     table = synth.generate_interleaved(n_docs=10, seed=4)
@@ -221,9 +225,42 @@ def test_zero_row_file_gets_its_partition(ray_session, tmp_path):
     pq.write_table(table.slice(5, 5), inp / "part-00002.parquet")
     out = tmp_path / "out"
 
+    # Ray Data re-runs logging.config.dictConfig at each execution,
+    # which drops any handler added to its loggers, so the warning is
+    # recorded at the logger's method
+    warnings: list[str] = []
+    schema_log = logging.getLogger(
+        "ray.data._internal.execution.streaming_executor_state"
+    )
+    log_warning = schema_log.warning
+
+    def record_warning(msg, *args, **kwargs):
+        warnings.append(str(msg) % args if args else str(msg))
+        log_warning(msg, *args, **kwargs)
+
+    monkeypatch.setattr(schema_log, "warning", record_warning)
     m1 = run_extract_checkpointed(str(inp), str(out))
+    assert not [w for w in warnings if "different schema" in w], warnings
     assert (m1["partitions_run"], m1["waves"], m1["n_docs"]) == (3, 1, 10)
     assert (out / "part=00001").is_dir()
+    row = json.loads((out / "_manifest" / "part-00001.json").read_text())
+    assert (row["n_docs"], row["n_spans"]) == (0, 0)
+
+    # a wave holding only the zero-row file
+    (out / "_manifest" / "part-00001.json").unlink()
+    from ocr_ray.stages import checkpoint as cp
+
+    executions = []
+    real_extract = cp.extract_documents
+    monkeypatch.setattr(
+        cp, "extract_documents",
+        lambda *a: executions.append(a) or real_extract(*a),
+    )
+    m_empty = run_extract_checkpointed(str(inp), str(out))
+    assert executions == []
+    assert (m_empty["partitions_run"], m_empty["waves"]) == (1, 1)
+    assert (out / "part=00001").is_dir()
+    assert not list((out / "part=00001").iterdir())
     row = json.loads((out / "_manifest" / "part-00001.json").read_text())
     assert (row["n_docs"], row["n_spans"]) == (0, 0)
 
