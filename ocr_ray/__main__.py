@@ -4,7 +4,7 @@ table with checkpoint/resume, or synthesize a test corpus.
     python -m ocr_ray synth --n-docs 1000 --out /tmp/corpus
     python -m ocr_ray curate --input /docs-parquet-dir --output /tmp/curated
     python -m ocr_ray extract --input /tmp/corpus --output /tmp/out \
-        [--engine auto] [--no-dictionary] [--no-spelling] [--enhance] \
+        [--engine auto] [--no-dictionary] [--no-spelling] \
         [--files-per-partition 4] [--no-resume] [--num-cpus 32]
 
 Owns its Ray session (the driver-contract module never does).
@@ -46,7 +46,6 @@ def main(argv=None) -> int:
     p_ex.add_argument("--language", default="mixed")
     p_ex.add_argument("--no-dictionary", action="store_true")
     p_ex.add_argument("--no-spelling", action="store_true")
-    p_ex.add_argument("--enhance", action="store_true")
     p_ex.add_argument("--files-per-partition", type=int, default=4)
     p_ex.add_argument("--no-resume", action="store_true")
     p_ex.add_argument("--num-cpus", type=int, default=None)
@@ -193,7 +192,6 @@ def main(argv=None) -> int:
             language=args.language,
             use_dictionary=not args.no_dictionary,
             normalize_spelling=not args.no_spelling,
-            enhance=args.enhance,
             learned_words=learned,
         )
         metrics = run_extract_checkpointed(

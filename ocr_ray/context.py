@@ -126,26 +126,20 @@ def cluster_cpus() -> int:
 
 def configure(num_cpus: int | None = None):
     """Tune the global DataContext; returns it. Safe to call repeatedly."""
-    from ray.data.context import DataContext
-
-    try:
-        from ray.data.context import ShuffleStrategy
-    except ImportError:  # pragma: no cover - older Ray
-        ShuffleStrategy = None
+    from ray.data.context import DataContext, ShuffleStrategy
 
     plan = plan_resources(num_cpus if num_cpus is not None else cluster_cpus())
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
     ctx.execution_options.verbose_progress = False
-    if ShuffleStrategy is not None:
-        ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-        ctx.default_hash_shuffle_parallelism = plan.shuffle_partitions
-        ctx.max_hash_shuffle_aggregators = plan.aggregators
-        # repartition/join, groupby-aggregate and join each read their
-        # own aggregator override; all three follow the plan
-        for attr in _AGGREGATOR_CPU_OVERRIDES:
-            if hasattr(ctx, attr):
-                setattr(ctx, attr, plan.aggregator_cpus)
+    ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
+    ctx.default_hash_shuffle_parallelism = plan.shuffle_partitions
+    ctx.max_hash_shuffle_aggregators = plan.aggregators
+    # repartition/join, groupby-aggregate and join each read their own
+    # aggregator override; all three follow the plan
+    for attr in _AGGREGATOR_CPU_OVERRIDES:
+        if hasattr(ctx, attr):
+            setattr(ctx, attr, plan.aggregator_cpus)
     _patch_hash_shuffle_empty_blocks()
     _register_release_callback(ctx)
     return ctx

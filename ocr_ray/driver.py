@@ -921,61 +921,6 @@ def q_length_percent_rank(sf_dir: str):
     return length_percent_rank(_docs(sf_dir, "doc_id", "n_chars"))
 
 
-# Not registered in QUERIES since the events/TPC-H family was removed;
-# reached only from its own tests, left for a later deletion batch.
-def q_user_purchase_click_totals(sf_dir: str):
-    """FULL OUTER join demo: per-user purchase cents vs click cents —
-    two independent keyed aggregates (each over a filtered slice of the
-    events stream) merged with a hash-partitioned full outer join;
-    users present on only one side survive with the other total
-    COALESCEd to 0. Both sides shuffle slim (user, cents) rows only."""
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    from ocr_ray.ops.joins import large_join
-
-    _quiet()
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "value"]
-    )
-
-    def side(event_type: str, out_col: str):
-        def pick(t: pa.Table) -> pa.Table:
-            t = t.filter(pc.equal(t["event_type"], event_type))
-            return pa.table(
-                {"user_id": t["user_id"], "cents": _cents(t["value"])}
-            )
-
-        return (
-            events.map_batches(pick, batch_format="pyarrow")
-            .groupby("user_id")
-            .aggregate(Sum("cents", alias_name=out_col))
-        )
-
-    purchases = side("purchase", "purchase_cents")
-    clicks = side("click", "click_cents")
-    # Ray's join coalesces equal-named keys into ONE user_id column,
-    # populated from whichever side the row came from
-    joined = large_join(
-        purchases, clicks, on="user_id", join_type="full_outer"
-    )
-
-    def finish(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "user_id": pc.cast(t["user_id"], pa.int64()),
-                "purchase_cents": pc.coalesce(
-                    pc.cast(t["purchase_cents"], pa.int64()), pa.scalar(0)
-                ),
-                "click_cents": pc.coalesce(
-                    pc.cast(t["click_cents"], pa.int64()), pa.scalar(0)
-                ),
-            }
-        )
-
-    return joined.map_batches(finish, batch_format="pyarrow")
-
-
 def q_validate_documents(sf_dir: str):
     from ocr_ray.ops.analysis import validate_documents
 
@@ -2296,92 +2241,6 @@ def q_quality_by_source_lang(sf_dir: str):
         )
 
     return agg.map_batches(finish, batch_format="pyarrow")
-
-
-# Not registered in QUERIES since the events/TPC-H family was removed;
-# reached only from its own tests, left for a later deletion batch.
-def q_referential_integrity(sf_dir: str):
-    """Cross-table referential-integrity audit (the ingest gate a
-    warehouse runs before publishing a snapshot): lineitem rows whose
-    orderkey has no order, and orders whose custkey has no customer.
-    Each check is one hash left-outer join of slim key projections —
-    the fact side pre-collapses to distinct keys map-side, so the
-    exchange carries keys, not rows — and orphan row counts come from
-    re-aggregated per-key multiplicities."""
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    from ocr_ray.ops.joins import large_join
-
-    _quiet()
-
-    def orphan_rows(fact, fact_key, dim, dim_key):
-        def key_partials(t: pa.Table) -> pa.Table:
-            g = (
-                pa.table({"k": t[fact_key].cast(pa.int64())})
-                .group_by("k")
-                .aggregate([([], "count_all")])
-            )
-            return pa.table(
-                {"k": g["k"], "m": g["count_all"].cast(pa.int64())}
-            )
-
-        keys = (
-            fact.map_batches(key_partials, batch_format="pyarrow")
-            .groupby("k")
-            .aggregate(Sum("m", alias_name="m"))
-        )
-
-        def dim_keys(t: pa.Table) -> pa.Table:
-            g = pa.table({"k": t[dim_key].cast(pa.int64())}).group_by(
-                "k"
-            ).aggregate([])
-            return g.append_column(
-                "present", pa.array(np.ones(g.num_rows, np.int64))
-            )
-
-        dk = dim.map_batches(dim_keys, batch_format="pyarrow")
-        j = large_join(keys, dk, on="k", join_type="left_outer")
-
-        def count_orphans(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0 or t.num_columns == 0:
-                return pa.schema([("rows", pa.int64())]).empty_table()
-            orphan = t.filter(pc.is_null(t["present"]))
-            return pa.table(
-                {
-                    "rows": pa.array(
-                        [int(pc.sum(orphan["m"]).as_py() or 0)], pa.int64()
-                    )
-                }
-            )
-
-        parts = j.map_batches(
-            count_orphans, batch_format="pyarrow"
-        ).take_all()  # one slim row per block
-        return sum(int(r["rows"]) for r in parts)
-
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet", columns=["l_orderkey"])
-    orders_k = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey"]
-    )
-    orders_c = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey"]
-    )
-    cust = rd.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey"]
-    )
-    return pa.table(
-        {
-            "n_orphan_lineitems": pa.array(
-                [orphan_rows(li, "l_orderkey", orders_k, "o_orderkey")],
-                pa.int64(),
-            ),
-            "n_orphan_orders": pa.array(
-                [orphan_rows(orders_c, "o_custkey", cust, "c_custkey")],
-                pa.int64(),
-            ),
-        }
-    )
 
 
 def _dhash_corpus(sf_dir: str):

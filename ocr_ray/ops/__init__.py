@@ -2,10 +2,9 @@
 
 Every module here is imported by a pipeline, a stage, the CLI, a
 ``driver.QUERIES`` entry or another module here (tests/test_registry.py
-checks this). ``windows`` (imported only by
-``infotheory.transition_entropy``) and some functions in ``stats``,
-``sketch``, ``graph``, ``strsim`` and a few other modules are reached
-only from their own tests; they are left for a later deletion batch.
+checks this). Some functions in ``sketch``, ``graph``, ``strsim``,
+``split``, ``sample`` and ``layout`` are reached only from their own
+tests; they are left for a later deletion batch.
 
 - analysis: word-frequency learning aggregation (A1), stats (A2-A7),
   top-k (O1), language ID, quality scoring, token counts, fingerprints
@@ -21,6 +20,4 @@ only from their own tests; they are left for a later deletion batch.
   rankcorr, stats, sketch, graph, layout, htmlops, spanstats: corpus
   analytics behind the registry queries
 - multimodal: binary-column decode/resize/frame-sample stage plumbing
-- windows: event-stream window operators (tumbling/sliding windows,
-  sessions, debounce), reached only from tests
 """

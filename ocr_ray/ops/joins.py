@@ -76,7 +76,6 @@ def large_join(left, right, on, *, join_type: str = "inner",
     context.py:configure).
     """
     from ocr_ray.context import apply_to_dataset
-    from ocr_ray.stages.reassemble import use_hash_shuffle
 
     import math
 
@@ -106,7 +105,7 @@ def large_join(left, right, on, *, join_type: str = "inner",
             num_partitions = cpus
         else:
             num_partitions = max(8, min(cpus, math.ceil(est / (32 << 20))))
-    use_hash_shuffle(left)
+    apply_to_dataset(left)
     apply_to_dataset(right)
     on = (on,) if isinstance(on, str) else tuple(on)
     right_on = (

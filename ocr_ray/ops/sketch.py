@@ -20,8 +20,8 @@ queries that used them were removed (left for a later deletion batch):
 ``hll_registers``, ``hll_distinct``, ``histogram_quantiles``,
 ``bloom_semi_join``, ``kmv_registers``, ``kmv_distinct``,
 ``kmv_group_registers``, ``kmv_overlap``, ``hll_distinct_incremental``,
-``sampled_value_percentiles``, ``mg_summary``, ``mg_violations``,
-``quantile_sketch``, ``quantile_sketch_violations``.
+``mg_summary``, ``mg_violations``, ``quantile_sketch``,
+``quantile_sketch_violations``.
 """
 from __future__ import annotations
 
@@ -649,41 +649,6 @@ def hll_distinct_incremental(ds, key_column: str, chunk_column: str,
             "hll_estimate": pa.array([round(est, 2)], pa.float64()),
             "n_registers": pa.array([len(rows)], pa.int64()),
         }
-    )
-
-
-def sampled_value_percentiles(events, rate_denom: int = 64):
-    """Exact percentiles over a DETERMINISTIC 1/``rate_denom``
-    hash-sample of events — the mergeable, order-free alternative to a
-    streaming quantile sketch (t-digest / Misra-Gries summaries are
-    stream-order-dependent, so their results cannot be reproduced under
-    Ray's unordered block scheduling; a multiplicative-hash row sample
-    is identical no matter how blocks are scheduled, and the SQL oracle
-    replays the same hash bit-for-bit).
-
-    Scale shape: the sample predicate is a stateless vectorized filter
-    (nothing shuffles at full size); the percentile machinery downstream
-    is ops/stats.py:value_percentiles_by_type — per-block (type, cents)
-    bincounts, one keyed sum, one ordered prefix scan per group."""
-    import pyarrow.compute as pc
-
-    from ocr_ray.ops.stats import value_percentiles_by_type
-
-    knuth = np.uint64(2654435761)
-    m32 = np.uint64(0xFFFFFFFF)
-    cutoff = np.uint64((1 << 32) // rate_denom)
-
-    def sample(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t.select(["event_id", "event_type", "value"])
-        ids = (
-            t.column("event_id").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        )
-        mask = ((ids.astype(np.uint64) * knuth) & m32) < cutoff
-        return t.filter(pa.array(mask))
-
-    return value_percentiles_by_type(
-        events.map_batches(sample, batch_format="pyarrow")
     )
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
+from ocr_ray import data
 from ocr_ray.pipelines.extract import ExtractConfig
 from ocr_ray.stages.engines import make_engine
 from ocr_ray.stages.process import process_span
@@ -22,9 +23,25 @@ from ocr_ray.stages.reassemble import merge_doc_text
 
 
 def extract_oracle(table: pa.Table, config: ExtractConfig | None = None) -> dict[str, dict]:
-    """doc_id → {"spans": [(kind, text, media_ref, offset)...], "doc_text": str}."""
+    """doc_id → {"spans": [(kind, text, media_ref, offset)...], "doc_text": str}.
+
+    The config's learned words extend the kamus for this call only, as
+    they do for each actor of a run; the process's previous extension is
+    restored afterwards."""
     config = config or ExtractConfig()
+    if not config.learned_words:
+        return _extract(table, config)
+    previous = data._EXTRA_WORDS
+    data.set_runtime_extra_words(config.learned_words)
+    try:
+        return _extract(table, config)
+    finally:
+        data.set_runtime_extra_words(previous)
+
+
+def _extract(table: pa.Table, config: ExtractConfig) -> dict[str, dict]:
     engine = make_engine(config.engine, config.language)
+    span_kwargs = config.span_kwargs()
 
     docs: dict[str, dict] = {}
     for row in table.to_pylist():
@@ -32,15 +49,8 @@ def extract_oracle(table: pa.Table, config: ExtractConfig | None = None) -> dict
         out_spans = []
         for span in spans:
             result = process_span(
-                span["kind"],
-                span["text"],
-                span["media_ref"],
-                engine,
-                language=config.language,
-                use_dictionary=config.use_dictionary,
-                normalize_spelling=config.normalize_spelling,
-                enhance=config.enhance,
-                score=config.score,
+                span["kind"], span["text"], span["media_ref"], engine,
+                **span_kwargs,
             )
             out_spans.append(
                 {

@@ -13,11 +13,9 @@ interleaved spans.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
-from ocr_ray import io
 from ocr_ray.context import ResourcePlan, cluster_cpus, plan_resources
 from ocr_ray.stages.explode import explode_spans
 from ocr_ray.stages.process import SpanProcessor
@@ -30,7 +28,6 @@ class ExtractConfig:
     language: str = "mixed"
     use_dictionary: bool = True
     normalize_spelling: bool = True
-    enhance: bool = False
     score: bool = True
     # fixed size of the OCR/repair actor pool; None → the resource
     # plan's pool (context.plan_resources: 0.75×CPUs, at least 1).
@@ -42,8 +39,6 @@ class ExtractConfig:
     # of several documents, and the doc_id shuffle brings each
     # document's spans back together.
     ocr_concurrency: Optional[int] = None
-    # reassembly shuffle partitions; None → the resource plan's
-    reassemble_partitions: Optional[int] = None
     # approved learned words merged into the kamus before the run (frozen
     # during it) — the reference's startup merge, see SpanProcessor
     learned_words: tuple = ()
@@ -51,29 +46,29 @@ class ExtractConfig:
     # (config.py:43); oversized spans route to FILE_TOO_LARGE
     max_span_bytes: int = 50 * 1024 * 1024
 
-    def processor_kwargs(self) -> dict:
+    def span_kwargs(self) -> dict:
+        """The keyword arguments of ``process_span``: the one source the
+        span pool and the plain-Python oracle both take them from."""
         return {
-            "engine": self.engine,
             "language": self.language,
             "use_dictionary": self.use_dictionary,
             "normalize_spelling": self.normalize_spelling,
-            "enhance": self.enhance,
             "score": self.score,
-            "learned_words": tuple(self.learned_words),
             "max_span_bytes": self.max_span_bytes,
+        }
+
+    def processor_kwargs(self) -> dict:
+        return {
+            "engine": self.engine,
+            "learned_words": tuple(self.learned_words),
+            **self.span_kwargs(),
         }
 
 
 def extract_plan(config: ExtractConfig) -> ResourcePlan:
     """The resource plan an extraction runs on: the cluster's plan, with
-    the config's explicit pool size and shuffle partition count in place
-    of the planned."""
-    plan = plan_resources(cluster_cpus(), pool_actors=config.ocr_concurrency)
-    if config.reassemble_partitions:
-        plan = dataclasses.replace(
-            plan, shuffle_partitions=config.reassemble_partitions
-        )
-    return plan
+    the config's explicit pool size in place of the planned."""
+    return plan_resources(cluster_cpus(), pool_actors=config.ocr_concurrency)
 
 
 def extract_spans(ds, config: ExtractConfig | None = None):
@@ -99,23 +94,3 @@ def extract_documents(ds, config: ExtractConfig | None = None):
         extract_spans(ds, config),
         num_partitions=extract_plan(config).shuffle_partitions,
     )
-
-
-def extract_from_path(path: str, config: ExtractConfig | None = None):
-    return extract_documents(io.read_interleaved(path), config)
-
-
-def extract_table_cells(ds):
-    """Side-channel structured extraction: every html span's <table>
-    cells as flat rows (ops/htmlops.py:html_table_cells). Runs off the
-    SAME interleaved Dataset as the main pipeline — callers wanting
-    both outputs should materialize ``ds`` first so the source scan
-    executes once:
-
-        src = io.read_interleaved(path).materialize()
-        docs  = extract_documents(src, cfg)
-        cells = extract_table_cells(src)
-    """
-    from ocr_ray.ops.htmlops import html_table_cells
-
-    return html_table_cells(ds)

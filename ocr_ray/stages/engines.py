@@ -18,7 +18,7 @@ the binary is missing.
 from __future__ import annotations
 
 import shutil
-from typing import Protocol, Sequence
+from typing import Protocol
 
 from ocr_ray import synth
 
@@ -190,7 +190,3 @@ def make_engine(name: str = "auto", language: str = "mixed") -> OcrEngine:
     except KeyError:
         raise ValueError(f"unknown OCR engine {name!r}; choose from {sorted(_REGISTRY)}")
     return cls(language=language)
-
-
-def batch_confidence(confidences: Sequence[float]) -> list[float]:
-    return list(confidences) if confidences else list(DEFAULT_CONFIDENCES)

@@ -47,21 +47,18 @@ def grouped_map(
     secondary sort columns inside each group (e.g. a timestamp for
     session/windowed logic)."""
     from ocr_ray.context import apply_to_dataset, cluster_cpus, plan_resources
-    from ocr_ray.stages.reassemble import use_hash_shuffle
 
     keys = list(keys)
     if num_partitions is None:
         num_partitions = plan_resources(cluster_cpus()).shuffle_partitions
 
-    if use_hash_shuffle(ds):
-        # sort=False: co-location needs only the hash partition (the
-        # block-level apply sorts), and the shuffle finalizer's sort
-        # breaks on fully-empty schema-less partitions
-        shuffled = apply_to_dataset(
-            ds.repartition(num_partitions, keys=keys, sort=False)
-        )
-    else:  # pragma: no cover - hash shuffle exists in this Ray build
-        shuffled = ds.sort(keys)
+    # sort=False: co-location needs only the hash partition (the
+    # block-level apply sorts), and the shuffle finalizer's sort breaks
+    # on fully-empty schema-less partitions
+    apply_to_dataset(ds)
+    shuffled = apply_to_dataset(
+        ds.repartition(num_partitions, keys=keys, sort=False)
+    )
 
     sort_keys = [(k, "ascending") for k in (*keys, *sort_within)]
 

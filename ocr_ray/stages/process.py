@@ -80,7 +80,6 @@ def process_span(
     language: str = "mixed",
     use_dictionary: bool = True,
     normalize_spelling: bool = True,
-    enhance: bool = False,
     score: bool = True,
     max_span_bytes: int = MAX_SPAN_BYTES,
 ) -> dict:
@@ -108,7 +107,7 @@ def process_span(
             error_code = ERR_FILE_EMPTY
         else:
             try:
-                raw, confidences = engine.read_page(media_ref, language, enhance)
+                raw, confidences = engine.read_page(media_ref, language)
             except Exception:  # noqa: BLE001 - per-span fault isolation
                 raw = ""
                 error_code = ERR_ENGINE
@@ -145,13 +144,11 @@ class SpanProcessor:
         language: str = "mixed",
         use_dictionary: bool = True,
         normalize_spelling: bool = True,
-        enhance: bool = False,
         score: bool = True,
         learned_words=None,
         max_span_bytes: int = MAX_SPAN_BYTES,
         debug_worker_column: bool = False,
     ):
-        self.max_span_bytes = max_span_bytes
         self.debug_worker_column = debug_worker_column
         if learned_words:
             # run-level dictionary extension, applied once per actor —
@@ -160,11 +157,13 @@ class SpanProcessor:
 
             data.set_runtime_extra_words(learned_words)
         self.engine = make_engine(engine, language)
-        self.language = language
-        self.use_dictionary = use_dictionary
-        self.normalize_spelling = normalize_spelling
-        self.enhance = enhance
-        self.score = score
+        self.span_kwargs = {
+            "language": language,
+            "use_dictionary": use_dictionary,
+            "normalize_spelling": normalize_spelling,
+            "score": score,
+            "max_span_bytes": max_span_bytes,
+        }
         # warm every lazily-compiled kernel table so the first batch pays
         # no compilation cost (multi-word patterns, kamus, spelling rules)
         repair_text("warmup djalan Rp.1.--", [0.9])
@@ -175,18 +174,7 @@ class SpanProcessor:
         refs = batch.column("media_ref").to_pylist()
 
         rows = [
-            process_span(
-                k,
-                t,
-                r,
-                self.engine,
-                language=self.language,
-                use_dictionary=self.use_dictionary,
-                normalize_spelling=self.normalize_spelling,
-                enhance=self.enhance,
-                score=self.score,
-                max_span_bytes=self.max_span_bytes,
-            )
+            process_span(k, t, r, self.engine, **self.span_kwargs)
             for k, t, r in zip(kinds, texts, refs)
         ]
 

@@ -166,44 +166,22 @@ def rebuild_docs_block(batch: pa.Table) -> pa.Table:
     )
 
 
-def use_hash_shuffle(ds=None) -> bool:
-    """Enable the tuned hash-shuffle configuration (required for key-based
-    repartition). Datasets snapshot their DataContext at creation, so the
-    already-built dataset's context is patched too. Returns False when
-    this Ray build lacks hash shuffle."""
-    try:
-        from ray.data.context import ShuffleStrategy  # noqa: F401
-    except ImportError:
-        return False
-    from ocr_ray.context import apply_to_dataset, configure
-
-    configure()
-    if ds is not None:
-        apply_to_dataset(ds)
-    return True
-
-
 def reassemble(ds, num_partitions: int | None = None):
     """Hash-partition spans by doc_id and rebuild documents per block.
 
-    Scale path: ``repartition(N, keys, sort=True)`` + one vectorized
+    Scale path: a ``doc_id`` hash ``repartition`` + one vectorized
     rebuild per block — the same group-integrity guarantee Ray's own
     ``map_groups`` builds on, without its per-group Python dispatch.
-    Fallback (no hash shuffle in this Ray build): a global sort by
-    ``(doc_id, offset)`` feeding ``map_groups``-style per-block rebuild.
     """
-    if num_partitions is None:
-        from ocr_ray.context import cluster_cpus, plan_resources
+    from ocr_ray.context import apply_to_dataset, cluster_cpus, plan_resources
 
+    if num_partitions is None:
         num_partitions = plan_resources(cluster_cpus()).shuffle_partitions
-    if use_hash_shuffle(ds):
-        # sort=False: group co-location needs only the hash partition; the
-        # block rebuild sorts by (doc_id, offset) itself, and the shuffle
-        # finalizer's sort chokes on fully-empty (schema-less) partitions
-        shuffled = ds.repartition(num_partitions, keys=["doc_id"], sort=False)
-        return shuffled.map_batches(
-            rebuild_docs_block, batch_format="pyarrow", batch_size=None
-        )
-    return ds.groupby("doc_id").map_groups(
-        rebuild_docs_block, batch_format="pyarrow"
+    # sort=False: group co-location needs only the hash partition; the
+    # block rebuild sorts by (doc_id, offset) itself, and the shuffle
+    # finalizer's sort chokes on fully-empty (schema-less) partitions
+    apply_to_dataset(ds)
+    shuffled = ds.repartition(num_partitions, keys=["doc_id"], sort=False)
+    return shuffled.map_batches(
+        rebuild_docs_block, batch_format="pyarrow", batch_size=None
     )

@@ -1,6 +1,7 @@
 """§2.10 extension surface end-to-end: the use_dictionary /
-normalize_spelling / engine toggles change pipeline behavior exactly as
-the reference's request flags do, and the oracle tracks every combo."""
+normalize_spelling / engine toggles, the span size cap and the learned
+words change pipeline behavior exactly as the reference's request flags
+and startup merge do, and the oracle tracks every combo."""
 from __future__ import annotations
 
 import pyarrow as pa
@@ -24,6 +25,8 @@ def toggle_table() -> pa.Table:
         {"normalize_spelling": False},
         {"use_dictionary": False, "normalize_spelling": False},
         {"engine": "paddle"},
+        {"max_span_bytes": 64},
+        {"learned_words": ("agustoes", "departemem")},
     ],
     ids=lambda k: ",".join(f"{a}={b}" for a, b in k.items()),
 )

@@ -1,30 +1,10 @@
-"""Property tests for the continuation-session operators: chained
-debounce vs a brute-force scan, and the quantile sketch's rank-error
-bound on adversarial weight distributions."""
+"""Property test for the quantile sketch's rank-error bound on
+adversarial weight distributions."""
 from __future__ import annotations
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    gaps=st.lists(st.integers(min_value=0, max_value=12), min_size=1,
-                  max_size=40),
-    gap_limit=st.integers(min_value=1, max_value=10),
-)
-def test_debounce_chain_matches_bruteforce(gaps, gap_limit):
-    """The op's run scanner must equal an independent brute-force
-    survivors-set walk for ANY gap sequence, including zeros and ties."""
-    from ocr_ray.ops.windows import _debounce_run
-
-    ts = np.cumsum([0] + gaps).astype(np.int64)
-    survivors = [int(ts[0])]
-    for t in ts[1:]:
-        if int(t) - survivors[-1] >= gap_limit:
-            survivors.append(int(t))
-    assert _debounce_run(ts, gap_limit) == len(survivors)
 
 
 @settings(max_examples=20, deadline=None)

@@ -212,3 +212,29 @@ def test_length_robust_outliers(ray_session):
     }
     assert row["n_outliers"] >= 3  # the planted extremes are caught
     assert row["mad_chars"] <= 21  # ...without inflating the spread
+
+
+def test_length_token_correlation_matches_numpy(ray_session):
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocr_ray.ops.stats import length_token_correlation
+
+    rng = np.random.default_rng(11)
+    texts = [" ".join(["w"] * int(k)) for k in rng.integers(1, 50, 40)]
+    docs = pa.table(
+        {
+            "lang": pa.array(["en"] * 40, pa.string()),
+            "text": pa.array(texts, pa.string()),
+            "n_chars": pa.array([len(t) for t in texts], pa.int64()),
+        }
+    )
+    out = length_token_correlation(rd.from_arrow(docs)).take_all()
+    assert len(out) == 1 and out[0]["n"] == 40
+    x = np.array([len(t) for t in texts], float)
+    y = np.array([len(t.split()) for t in texts], float)
+    expect = np.corrcoef(x, y)[0, 1]
+    assert abs(out[0]["corr"] - expect) < 1e-12
+    # perfectly linear relation here (n_chars = 2*tokens - 1) -> corr 1
+    assert out[0]["corr"] > 0.9999

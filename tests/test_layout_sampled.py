@@ -1,4 +1,5 @@
-"""Z-order keys and deterministic hash-sample percentiles."""
+"""Z-order (Morton) keys: the per-bit formula, locality order and the
+dataset operator."""
 from __future__ import annotations
 
 import numpy as np
@@ -59,40 +60,3 @@ def test_zorder_keys_dataset(ray_session):
     assert out.loc[2, "x_q"] == 70000 & 65535
     # interleave(3=0b11, 7=0b111): x even bits, y odd bits → 0b101111
     assert out.loc[1, "zkey"] == 0b101111
-
-
-def test_sampled_percentiles_equal_manual_subset(ray_session):
-    from ocr_ray.ops.sketch import sampled_value_percentiles
-    from ocr_ray.ops.stats import value_percentiles_by_type
-
-    rng = np.random.default_rng(5)
-    n = 20_000
-    ids = np.arange(n, dtype=np.int64)
-    t = pa.table(
-        {
-            "event_id": pa.array(ids),
-            "event_type": pa.array(
-                np.where(ids % 2 == 0, "click", "view")
-            ),
-            "value": pa.array(np.round(rng.uniform(0, 100, n), 2)),
-        }
-    )
-    got = (
-        sampled_value_percentiles(_ds(t), rate_denom=64)
-        .to_pandas()
-        .sort_values("event_type")
-        .reset_index(drop=True)
-    )
-    mask = (
-        (ids.astype(np.uint64) * np.uint64(2654435761))
-        & np.uint64(0xFFFFFFFF)
-    ) < np.uint64((1 << 32) // 64)
-    manual = (
-        value_percentiles_by_type(_ds(t.filter(pa.array(mask))))
-        .to_pandas()
-        .sort_values("event_type")
-        .reset_index(drop=True)
-    )
-    assert got.equals(manual)
-    # ~1/64 of 20k rows per both types combined
-    assert 150 <= int(got["n_events"].sum()) <= 500

@@ -318,32 +318,6 @@ def test_leakage_safe_split_groups_together(ray_session):
     assert got[50]["group_label"] == 50 and got[51]["group_label"] == 51
 
 
-def test_session_timeout_sweep_hand(ray_session):
-    import numpy as np
-
-    from ocr_ray.ops.windows import session_timeout_sweep
-
-    base = np.datetime64("2024-01-01T00:00:00", "us")
-    # user 1: gaps of 100 s and 2000 s; user 2: single event
-    ts = [base, base + np.timedelta64(100, "s"),
-          base + np.timedelta64(2100, "s"), base]
-    t = pa.table(
-        {
-            "user_id": pa.array([1, 1, 1, 2], pa.int64()),
-            "ts": pa.array(ts, pa.timestamp("us")),
-        }
-    )
-    got = {
-        int(r["timeout_s"]): r
-        for r in session_timeout_sweep(_ds(t), timeouts=(60, 300, 3600))
-        .take_all()
-    }
-    assert got[60]["n_users"] == 2
-    assert got[60]["n_sessions"] == 2 + 2   # both gaps break
-    assert got[300]["n_sessions"] == 2 + 1  # only the 2000 s gap
-    assert got[3600]["n_sessions"] == 2     # nothing breaks
-
-
 def test_dedup_yield_curve_hand(ray_session):
     from ocr_ray.ops.dedup import dedup_yield_curve
 

@@ -1,5 +1,4 @@
-"""Quantile sketch compression/gate, CSV source round-trip, and the
-salted two-phase rollup vs plain aggregation."""
+"""Quantile sketch compression/gate and the CSV source round-trip."""
 from __future__ import annotations
 
 import numpy as np
@@ -90,34 +89,3 @@ def test_csv_roundtrip_byte_exact(ray_session, tmp_path):
     assert back.text.tolist()[2] in ("", None)
     assert back.lang.tolist() == want.lang.tolist()
     assert back.n_chars.tolist() == want.n_chars.tolist()
-
-
-def test_salted_user_totals(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.stats import salted_user_totals
-
-    rng = np.random.RandomState(2)
-    # one hot user (80% of rows) plus a long tail
-    users = np.where(
-        rng.uniform(size=5000) < 0.8, 7, rng.randint(100, 200, 5000)
-    ).astype(np.int64)
-    vals = rng.uniform(0, 50, 5000)
-    t = pa.table(
-        {
-            "event_id": pa.array(np.arange(5000), pa.int64()),
-            "user_id": pa.array(users, pa.int64()),
-            "value": pa.array(vals, pa.float64()),
-        }
-    )
-    got = (
-        salted_user_totals(rd.from_arrow(t).repartition(8))
-        .to_pandas()
-        .set_index("user_id")
-        .sort_index()
-    )
-    cents = np.round(vals * 100).astype(np.int64)
-    for u in np.unique(users):
-        m = users == u
-        assert int(got.loc[u, "n_events"]) == int(m.sum())
-        assert int(got.loc[u, "sum_cents"]) == int(cents[m].sum())

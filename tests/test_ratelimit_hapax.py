@@ -1,74 +1,7 @@
-"""rate_limit_audit / hapax_rate_by_source."""
+"""hapax_rate_by_source vs a hand-computed case."""
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
-
-
-def _ts(seconds):
-    return pa.array([int(s * 1_000_000) for s in seconds], pa.timestamp("us"))
-
-
-def test_rate_limit_audit_hand(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.windows import rate_limit_audit
-
-    events = pa.table(
-        {
-            # u1: 4 events inside one 60s span (10,30,50,69) → max 4;
-            #     the (t-60, t] window at t=70 contains 30,50,69,70 → 4
-            # u2: events 120s apart → max 1
-            # u3: duplicate timestamps count together → max 3
-            "user_id": pa.array([1, 1, 1, 1, 1, 2, 2, 3, 3, 3], pa.int64()),
-            "ts": _ts([10, 30, 50, 69, 70, 0, 120, 5, 5, 5]),
-        }
-    )
-    out = (
-        rate_limit_audit(rd.from_arrow(events), window_us=60_000_000,
-                         limit=3)
-        .to_pandas()
-        .set_index("user_id")
-        .sort_index()
-    )
-    assert out.loc[1, "max_in_window"] == 4
-    assert out.loc[1, "limit_exceeded"] == 1
-    assert out.loc[2, "max_in_window"] == 1
-    assert out.loc[2, "limit_exceeded"] == 0
-    assert out.loc[3, "max_in_window"] == 3
-    assert out.loc[3, "limit_exceeded"] == 0
-
-
-def test_rate_limit_audit_vs_duckdb(ray_session):
-    import duckdb
-    import ray.data as rd
-
-    from ocr_ray.ops.windows import rate_limit_audit, rate_limit_audit_sql
-
-    rng = np.random.default_rng(31)
-    n = 3000
-    events = pa.table(
-        {
-            "user_id": pa.array(rng.integers(1, 40, n), pa.int64()),
-            "ts": pa.array(
-                rng.integers(0, 86_400, n) * 1_000_000, pa.timestamp("us")
-            ),
-        }
-    )
-    got = (
-        rate_limit_audit(rd.from_arrow(events).repartition(4))
-        .to_pandas()
-        .sort_values("user_id")
-        .reset_index(drop=True)
-    )
-    con = duckdb.connect()
-    con.register("events", events)
-    want = (
-        con.execute(rate_limit_audit_sql() + " ORDER BY user_id")
-        .df()
-        .reset_index(drop=True)
-    )
-    assert got.astype("int64").equals(want.astype("int64"))
 
 
 def test_hapax_rate_by_source_hand(ray_session):

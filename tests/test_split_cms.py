@@ -1,5 +1,5 @@
-"""Train/val/test hash split, ROLLUP grouping sets, per-user running
-totals, and the Count-Min sketch: semantic properties beyond the SQL
+"""Train/val/test hash split, ROLLUP grouping sets, per-group top-n
+and the Count-Min sketch: semantic properties beyond the SQL
 oracles (partition completeness, super-aggregate consistency, CMS
 one-sided error, block-layout independence)."""
 from __future__ import annotations
@@ -10,7 +10,6 @@ import ray.data as rd
 
 from ocr_ray.ops.sketch import CMS_D, CMS_W, _cms_cols, cms_heavy_hitters, cms_registers
 from ocr_ray.ops.split import rollup_lang_source, split_of, train_split_stats
-from ocr_ray.ops.windows import running_total_per_user
 
 
 def _docs_table(n=400, seed=7):
@@ -74,46 +73,6 @@ def test_rollup_super_aggregates_consistent(ray_session):
         member = [r for r in base if r["lang"] == lr["lang"]]
         assert lr["n_docs"] == sum(r["n_docs"] for r in member)
         assert lr["sum_chars"] == sum(r["sum_chars"] for r in member)
-
-
-def test_running_total_matches_serial(ray_session):
-    rng = np.random.default_rng(3)
-    n = 2000
-    tbl = pa.table(
-        {
-            "event_id": pa.array(range(n), pa.int64()),
-            "user_id": pa.array(rng.integers(0, 37, n), pa.int64()),
-            "ts": pa.array(
-                rng.integers(0, 10**6, n) * 1_000_000, pa.int64()
-            ).cast(pa.timestamp("us")),
-            "value": pa.array(rng.uniform(-5, 50, n), pa.float64()),
-        }
-    )
-    got = {
-        r["event_id"]: r["running_cents"]
-        for r in running_total_per_user(
-            rd.from_arrow(tbl).repartition(9)
-        ).take_all()
-    }
-    assert len(got) == n
-    # serial reference: sort by (user, ts, event_id), cumulative cents
-    import math
-
-    order = sorted(
-        range(n),
-        key=lambda i: (
-            tbl.column("user_id")[i].as_py(),
-            tbl.column("ts")[i].as_py(),
-            i,
-        ),
-    )
-    acc: dict[int, int] = {}
-    for i in order:
-        u = tbl.column("user_id")[i].as_py()
-        v = tbl.column("value")[i].as_py()
-        cents = int(math.floor(abs(v) * 100.0 + 0.5)) * (1 if v >= 0 else -1)
-        acc[u] = acc.get(u, 0) + cents
-        assert got[i] == acc[u], f"event {i}"
 
 
 def test_cms_estimate_dominates_exact_and_registers_conserve(ray_session):
@@ -180,59 +139,6 @@ def test_top_n_per_group_matches_serial(ray_session):
         if r <= 3:
             expect.append((lang, r, did, -negc))
     assert got == sorted(expect)
-
-
-def test_distinct_users_by_type_exact(ray_session):
-    from ocr_ray.ops.stats import distinct_users_by_type
-
-    rng = np.random.default_rng(5)
-    n = 3000
-    types = np.array(["click", "view", "buy"])[rng.integers(0, 3, n)]
-    users = rng.integers(0, 80, n)
-    tbl = pa.table(
-        {
-            "event_type": pa.array(types.tolist(), pa.string()),
-            "user_id": pa.array(users, pa.int64()),
-        }
-    )
-    got = {
-        r["event_type"]: r["n_users"]
-        for r in distinct_users_by_type(
-            rd.from_arrow(tbl).repartition(7)
-        ).take_all()
-    }
-    expect = {
-        t: len({int(u) for u, tt in zip(users, types) if tt == t})
-        for t in set(types.tolist())
-    }
-    assert got == expect
-
-
-def test_events_pivot_daily_conserves_counts(ray_session):
-    from ocr_ray.ops.stats import events_pivot_daily
-
-    rng = np.random.default_rng(9)
-    n = 4000
-    types = np.array(["click", "error", "purchase", "signup", "view"])
-    tvals = types[rng.integers(0, 5, n)]
-    tbl = pa.table(
-        {
-            "ts": pa.array(
-                rng.integers(0, 30, n) * 86_400_000_000
-                + rng.integers(0, 86_400_000_000, n),
-                pa.int64(),
-            ).cast(pa.timestamp("us")),
-            "event_type": pa.array(tvals.tolist(), pa.string()),
-        }
-    )
-    rows = events_pivot_daily(rd.from_arrow(tbl).repartition(8)).take_all()
-    total = sum(sum(r[f"n_{t}"] for t in types) for r in rows)
-    assert total == n
-    from collections import Counter
-
-    per_type = Counter(tvals.tolist())
-    for t in types:
-        assert sum(r[f"n_{t}"] for r in rows) == per_type[t]
 
 
 def test_bigram_familiarity_matches_serial(ray_session):
