@@ -423,18 +423,6 @@ def q_dedup_minhash_components(sf_dir: str):
     )
 
 
-def q_pagerank_neardup(sf_dir: str):
-    """Integer-exact PageRank over the MinHash near-dup pair graph —
-    surfaces the template hubs whose boilerplate radiates widest."""
-    from ocr_ray.ops.dedup import dedup_minhash
-    from ocr_ray.ops.graph import pagerank
-
-    return _materialized(
-        pagerank(dedup_minhash(_docs(sf_dir), threshold=0.5), iters=5),
-        pa.schema([("doc_id", pa.int64()), ("rank_scaled", pa.int64())]),
-    )
-
-
 def q_kmeans_inertia(sf_dir: str):
     """Per-cluster exact integer inertia of the k-means fit — the
     elbow-method quality rollup (ops.similarity.kmeans_inertia)."""
@@ -3407,7 +3395,6 @@ QUERIES = {
     "dedup_minhash": q_dedup_minhash,
     "dedup_minhash_verified": q_dedup_minhash_verified,
     "dedup_minhash_components": q_dedup_minhash_components,
-    "pagerank_neardup": q_pagerank_neardup,
     "dedup_minhash_drop_list": q_dedup_minhash_drop_list,
     "dedup_strategy_overlap": q_dedup_strategy_overlap,
     "split_leakage": q_split_leakage,
@@ -3540,7 +3527,7 @@ QUERIES = {
 # lead with one representative per operator family — extraction, the
 # composed curation DAG, learning/scoring, joins/events, every dedup
 # family, ANN/clustering, decontam, text quality, curation/sampling,
-# splits, chunk/pack, sketches, search, graph, string-sim, info-theory,
+# splits, chunk/pack, sketches, search, span stats, string-sim, info-theory,
 # multimodal, numeric stats — making the capped artifact representative
 # of breadth rather than insertion history (VERDICT r03 visibility
 # note). The full sweep still runs via scripts/check_oracles.py.
@@ -3563,7 +3550,7 @@ _FAMILY_FIRST_50 = [
     "weighted_sample_docs", "neyman_allocation", "train_split_stats",
     "chunk_docs", "pack_sequences",
     "cms_heavy_hitters", "hll_vocab_by_source",
-    "search_bm25", "rrf_fusion", "pagerank_neardup", "jaro_winkler_pairs",
+    "search_bm25", "rrf_fusion", "span_kind_stats", "jaro_winkler_pairs",
     "lang_source_mutual_info", "media_dhash_violations",
     "welch_t_by_source",
 ]
@@ -4143,12 +4130,6 @@ def _length_percent_rank_oracle_sql() -> str:
     from ocr_ray.ops.curate import length_percent_rank_sql
 
     return length_percent_rank_sql()
-
-
-def _pagerank_oracle_sql() -> str:
-    from ocr_ray.ops.graph import pagerank_sql
-
-    return pagerank_sql(_minhash_est_sql(), iters=5)
 
 
 def _train_split_oracle_sql() -> str:
@@ -4979,7 +4960,6 @@ def oracle_sql() -> dict[str, str]:
             " ELSE 0 END) + 0.5) AS BIGINT)) AS BIGINT) AS jsd_nano\n"
             "FROM pw GROUP BY 1, 2"
         ),
-        "pagerank_neardup": _pagerank_oracle_sql(),
         "frequent_shingles": (
             "WITH " + _SHINGLES_BODY + ",\n"
             "df AS (SELECT shingle, CAST(COUNT(*) AS BIGINT) AS df"

@@ -1,10 +1,11 @@
 """Relational / training-data operations over document corpora.
 
 Every module here is imported by a pipeline, a stage, the CLI, a
-``driver.QUERIES`` entry or another module here (tests/test_registry.py
-checks this). Some functions in ``sketch``, ``graph``, ``strsim``,
-``split``, ``sample`` and ``layout`` are reached only from their own
-tests; they are left for a later deletion batch.
+``driver.QUERIES`` entry or another module here, and every public
+function or class is called from one of those (tests/test_registry.py
+checks both). The exceptions are named in that test: the ``multimodal``
+media-codec plumbing and a few ``analysis``, ``joins`` and
+``learning_state`` helpers, all left for a later deletion batch.
 
 - analysis: word-frequency learning aggregation (A1), stats (A2-A7),
   top-k (O1), language ID, quality scoring, token counts, fingerprints
@@ -17,7 +18,7 @@ tests; they are left for a later deletion batch.
 - curate, filters, redact, decontam, sample, split, chunk, curriculum:
   the curation DAG's stages and the training-mix planners
 - textstats, tfidf, lm, keyness, lexicon, search, strsim, infotheory,
-  rankcorr, stats, sketch, graph, layout, htmlops, spanstats: corpus
+  rankcorr, stats, sketch, layout, htmlops, spanstats: corpus
   analytics behind the registry queries
 - multimodal: binary-column decode/resize/frame-sample stage plumbing
 """

@@ -337,9 +337,6 @@ def _with_schema(ds, schema: pa.Schema):
     return ds.map_batches(fix, batch_format="pyarrow")
 
 
-_PAIR_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())])
-
-
 def dedup_minhash(docs, num_perm: int = 64, bands: int = 16, threshold: float = 0.5):
     """MinHash-LSH near-dup pairs with estimated Jaccard ≥ threshold.
 

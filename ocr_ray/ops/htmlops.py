@@ -1,32 +1,20 @@
-"""HTML-span structure extraction over the interleaved corpus.
+"""HTML-span link structure over the interleaved corpus.
 
 Beyond main-content stripping (kernels/html_extract.py, used by the
-extraction pipeline), web-scale corpora also need the STRUCTURED side
-of HTML: table cells (for table-to-text training data) and per-page
-link-density profiles (navigation pages are boilerplate even when
-their text density is high). Both run as stateless ``map_batches``
-passes over the interleaved table's html spans — one corpus scan each,
-no shuffle; output is bounded by the actual table/link content.
+extraction pipeline), web-scale corpora also need per-page
+link-density profiles: navigation pages are boilerplate even when
+their text density is high. The profile is one stateless
+``map_batches`` pass over the interleaved table's html spans — one
+corpus scan, no shuffle; output is one row per document with html.
 
 Reference analogue: the span explode + per-kind routing in the
-reference's extraction service (ocr_service.py upload path); the cell
-and link emitters are the kind='html' branch deepened.
+reference's extraction service (ocr_service.py upload path); the link
+emitter is the kind='html' branch deepened.
 """
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
-_CELL_SCHEMA = pa.schema(
-    [
-        ("doc_id", pa.string()),
-        ("offset", pa.int32()),
-        ("table_idx", pa.int32()),
-        ("row_idx", pa.int32()),
-        ("col_idx", pa.int32()),
-        ("cell_text", pa.string()),
-    ]
-)
 
 _LINK_SCHEMA = pa.schema(
     [
@@ -38,43 +26,6 @@ _LINK_SCHEMA = pa.schema(
         ("link_density_millionths", pa.int64()),
     ]
 )
-
-
-def html_table_cells(interleaved):
-    """Explode every html span's <table> structure to one row per cell:
-    (doc_id, span offset, table/row/col index, normalized cell text).
-    Flat output — the natural input for table-linearization stages."""
-    from ocr_ray.kernels.html_extract import extract_tables
-
-    def cells(t: pa.Table) -> pa.Table:
-        o_doc, o_off, o_t, o_r, o_c, o_txt = [], [], [], [], [], []
-        doc_ids = t.column("doc_id").to_pylist()
-        spans_col = t.column("spans").to_pylist()
-        for doc_id, spans in zip(doc_ids, spans_col):
-            for span in spans or []:
-                if span.get("kind") != "html":
-                    continue
-                for ti, rows in enumerate(extract_tables(span.get("text"))):
-                    for ri, row in enumerate(rows):
-                        for ci, cell in enumerate(row):
-                            o_doc.append(doc_id)
-                            o_off.append(int(span.get("offset") or 0))
-                            o_t.append(ti)
-                            o_r.append(ri)
-                            o_c.append(ci)
-                            o_txt.append(cell)
-        return pa.table(
-            {
-                "doc_id": pa.array(o_doc, pa.string()),
-                "offset": pa.array(o_off, pa.int32()),
-                "table_idx": pa.array(o_t, pa.int32()),
-                "row_idx": pa.array(o_r, pa.int32()),
-                "col_idx": pa.array(o_c, pa.int32()),
-                "cell_text": pa.array(o_txt, pa.string()),
-            }
-        )
-
-    return interleaved.map_batches(cells, batch_format="pyarrow")
 
 
 def html_link_density(interleaved):

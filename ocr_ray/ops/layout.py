@@ -4,73 +4,12 @@
 target byte size (the Delta/Iceberg OPTIMIZE bin layout) with a rule
 the DuckDB oracle replays exactly; see its docstring for the scale
 shape.
-
-Also kept, reached only from their own tests since the events/TPC-H
-queries that used them were removed (left for a later deletion batch):
-``morton_key``, ``zorder_keys``.
 """
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-_BITS = 16
-_MASK = (1 << _BITS) - 1
-
-
-def _spread16(v: np.ndarray) -> np.ndarray:
-    """Spread the low 16 bits of each value onto even bit positions
-    (uint64 lanes, classic magic-number interleave)."""
-    v = v.astype(np.uint64) & np.uint64(_MASK)
-    v = (v | (v << np.uint64(8))) & np.uint64(0x00FF00FF)
-    v = (v | (v << np.uint64(4))) & np.uint64(0x0F0F0F0F)
-    v = (v | (v << np.uint64(2))) & np.uint64(0x33333333)
-    v = (v | (v << np.uint64(1))) & np.uint64(0x55555555)
-    return v
-
-
-def morton_key(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """32-bit Morton key: x on even bits, y on odd bits (low 16 bits of
-    each input)."""
-    return (_spread16(x) | (_spread16(y) << np.uint64(1))).astype(np.int64)
-
-
-def zorder_keys(ds, id_col: str, x_col: str, y_col: str,
-                x_expr=None, y_expr=None):
-    """Add a Z-order key over two integer dimensions. ``x_expr`` /
-    ``y_expr`` optionally map the raw column to its quantized integer
-    form (numpy int64 → int64); default is identity. Output rows are
-    ``(id, x_q, y_q, zkey)`` — slim, one per input row."""
-    out_schema = pa.schema(
-        [
-            (id_col, pa.int64()),
-            ("x_q", pa.int64()),
-            ("y_q", pa.int64()),
-            ("zkey", pa.int64()),
-        ]
-    )
-
-    def add_key(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
-        x = t.column(x_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        y = t.column(y_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        if x_expr is not None:
-            x = x_expr(x)
-        if y_expr is not None:
-            y = y_expr(y)
-        xq = x & _MASK
-        yq = y & _MASK
-        return pa.table(
-            {
-                id_col: t.column(id_col).cast(pa.int64()),
-                "x_q": pa.array(xq, pa.int64()),
-                "y_q": pa.array(yq, pa.int64()),
-                "zkey": pa.array(morton_key(x, y), pa.int64()),
-            }
-        )
-
-    return ds.map_batches(add_key, batch_format="pyarrow")
 
 
 def compaction_plan(rows, key_col: str = "doc_id",

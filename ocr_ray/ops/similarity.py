@@ -391,8 +391,8 @@ def _km_assign(q: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 def kmeans_integer(embeddings, k: int = 8, iters: int = 5):
     """Distributed Lloyd k-means in pure int64 — bit-identical to a
-    chained-CTE SQL replay (same design as the integer PageRank,
-    ops/graph.py): coordinates quantize once, centroids start at the k
+    chained-CTE SQL replay (integer sums are exact in any order):
+    coordinates quantize once, centroids start at the k
     smallest vec_ids' vectors, and each iteration (a) assigns every
     vector to its nearest centroid map-side against a ray.put-broadcast
     (k × dim) matrix, (b) emits per-batch per-cluster partial sums as

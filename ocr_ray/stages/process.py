@@ -138,32 +138,19 @@ def process_span(
 
 
 class SpanProcessor:
-    def __init__(
-        self,
-        engine: str = "auto",
-        language: str = "mixed",
-        use_dictionary: bool = True,
-        normalize_spelling: bool = True,
-        score: bool = True,
-        learned_words=None,
-        max_span_bytes: int = MAX_SPAN_BYTES,
-        debug_worker_column: bool = False,
-    ):
-        self.debug_worker_column = debug_worker_column
+    def __init__(self, engine: str = "auto", learned_words=(), **span_kwargs):
+        """``span_kwargs`` are ``process_span``'s keyword arguments; the
+        engine reads pages in their ``language`` when one is given."""
         if learned_words:
             # run-level dictionary extension, applied once per actor —
             # the reference's startup learned-words merge (main.py:147-153)
             from ocr_ray import data
 
             data.set_runtime_extra_words(learned_words)
-        self.engine = make_engine(engine, language)
-        self.span_kwargs = {
-            "language": language,
-            "use_dictionary": use_dictionary,
-            "normalize_spelling": normalize_spelling,
-            "score": score,
-            "max_span_bytes": max_span_bytes,
-        }
+        self.engine = make_engine(
+            engine, **{k: v for k, v in span_kwargs.items() if k == "language"}
+        )
+        self.span_kwargs = span_kwargs
         # warm every lazily-compiled kernel table so the first batch pays
         # no compilation cost (multi-word patterns, kamus, spelling rules)
         repair_text("warmup djalan Rp.1.--", [0.9])
@@ -182,10 +169,6 @@ class SpanProcessor:
         # the checkpoint runner's partition tag rides along to the rebuild
         if "part" in batch.column_names:
             extra["part"] = batch.column("part")
-        if self.debug_worker_column:
-            import os
-
-            extra["worker_pid"] = pa.array([os.getpid()] * batch.num_rows, pa.int64())
         return pa.table(
             {
                 **extra,

@@ -131,206 +131,3 @@ def test_long_chain_converges_via_pointer_doubling(ray_session, caplog):
     assert not any("did NOT converge" in r.message for r in caplog.records)
 
 
-def test_pagerank_matches_serial_reference(ray_session):
-    """Random undirected graph: the distributed integer PageRank must
-    equal a serial replay of the same recurrence exactly, and a star
-    hub must outrank leaf nodes."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from ocr_ray.ops.graph import BASE, DAMP_DEN, DAMP_NUM, SCALE, pagerank
-
-    rng = np.random.RandomState(7)
-    n_nodes, n_edges = 30, 45
-    a = rng.randint(0, n_nodes, n_edges)
-    b = rng.randint(0, n_nodes, n_edges)
-    keep = a != b
-    pairs = {(min(x, y), max(x, y)) for x, y in zip(a[keep], b[keep])}
-    # add a star: node 100 connected to 8 leaves
-    pairs |= {(100, 200 + i) for i in range(8)}
-    tbl = pa.table(
-        {
-            "doc_a": pa.array([p[0] for p in pairs], pa.int64()),
-            "doc_b": pa.array([p[1] for p in pairs], pa.int64()),
-        }
-    )
-
-    # serial reference of the identical recurrence
-    adj, deg = {}, {}
-    for x, y in pairs:
-        adj.setdefault(x, []).append(y)
-        adj.setdefault(y, []).append(x)
-    for k, v in adj.items():
-        deg[k] = len(v)
-    r = {k: SCALE for k in adj}
-    for _ in range(5):
-        inflow = {k: 0 for k in adj}
-        for u, nbrs in adj.items():
-            share = r[u] // deg[u]
-            for v in nbrs:
-                inflow[v] += share
-        r = {k: BASE + (DAMP_NUM * s) // DAMP_DEN for k, s in inflow.items()}
-
-    got = {
-        row["doc_id"]: row["rank_scaled"]
-        for row in pagerank(rd.from_arrow(tbl), iters=5).take_all()
-    }
-    assert got == r
-    assert all(got[100] > got[200 + i] for i in range(8))
-
-
-def test_triangle_counts_k4_plus_wedge(ray_session):
-    """K4 (every node in 3 triangles) plus an open wedge hanging off
-    node 3 (adds no triangle)."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from ocr_ray.ops.graph import triangle_counts
-
-    k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    wedge = [(3, 10), (3, 11)]  # open: 10-11 not an edge
-    edges = pa.table(
-        {
-            "u": pa.array([e[0] for e in k4 + wedge], pa.int64()),
-            "v": pa.array([e[1] for e in k4 + wedge], pa.int64()),
-        }
-    )
-    out = {
-        r["node"]: r["n_triangles"]
-        for r in triangle_counts(rd.from_arrow(edges)).take_all()
-    }
-    assert out == {0: 3, 1: 3, 2: 3, 3: 3}
-
-
-def test_copurchase_edges_dedup_and_cap(ray_session):
-    import pyarrow as pa
-    import ray.data as rd
-
-    from ocr_ray.ops.graph import copurchase_edges
-
-    li = pa.table(
-        {
-            # order 1: parts 5,7,5 (dup) -> one edge (5,7)
-            # order 2: parts 1,2,3 -> three edges
-            # order 3: 4 distinct parts with max_basket=3 -> dropped whole
-            "l_orderkey": pa.array([1, 1, 1, 2, 2, 2, 3, 3, 3, 3], pa.int64()),
-            "l_partkey": pa.array([5, 7, 5, 1, 2, 3, 8, 9, 10, 11], pa.int64()),
-        }
-    )
-    got = {
-        (r["u"], r["v"])
-        for r in copurchase_edges(rd.from_arrow(li), max_basket=3).take_all()
-    }
-    assert got == {(5, 7), (1, 2), (1, 3), (2, 3)}
-
-
-def test_clustering_coefficients_k4_plus_wedge(ray_session):
-    import pyarrow as pa
-    import ray.data as rd
-
-    from ocr_ray.ops.graph import clustering_coefficients
-
-    k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    wedge = [(3, 10), (3, 11)]
-    edges = pa.table(
-        {
-            "u": pa.array([e[0] for e in k4 + wedge], pa.int64()),
-            "v": pa.array([e[1] for e in k4 + wedge], pa.int64()),
-        }
-    )
-    out = {
-        r["node"]: r
-        for r in clustering_coefficients(rd.from_arrow(edges)).take_all()
-    }
-    # inner K4 nodes: deg 3, all wedges closed -> lcc 1.0
-    for n in (0, 1, 2):
-        assert out[n]["deg"] == 3 and out[n]["lcc"] == 1.0
-    # node 3: deg 5 (K4 + two leaves), 3 triangles -> 6/20
-    assert out[3]["deg"] == 5 and out[3]["n_triangles"] == 3
-    assert out[3]["lcc"] == 6 / 20
-    # leaves: deg 1, no triangles, guarded division -> 0.0
-    assert out[10]["lcc"] == 0.0 and out[11]["n_triangles"] == 0
-
-
-def test_kcore_peeling_and_convergence(ray_session):
-    import pyarrow as pa
-    import ray.data as rd
-
-    from ocr_ray.ops.graph import kcore
-
-    # K4 {0,1,2,3} plus a tail 3-10-11: the tail peels off in two
-    # rounds (11 first, then 10), the K4 is the 3-core
-    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 10), (10, 11)]
-    tbl = pa.table(
-        {
-            "u": pa.array([e[0] for e in edges], pa.int64()),
-            "v": pa.array([e[1] for e in edges], pa.int64()),
-        }
-    )
-    out = {r["node"]: r["deg"] for r in kcore(rd.from_arrow(tbl), k=3).take_all()}
-    assert out == {0: 3, 1: 3, 2: 3, 3: 3}
-
-    # k above the max degree -> empty core, empty (named) schema
-    empty = kcore(rd.from_arrow(tbl), k=10).take_all()
-    assert empty == []
-
-    # k=1 keeps everything, degrees measured on the intact graph
-    all_k1 = {r["node"]: r["deg"] for r in kcore(rd.from_arrow(tbl), k=1).take_all()}
-    assert all_k1[3] == 4 and all_k1[11] == 1 and len(all_k1) == 6
-
-    # max_iters too small for the peel depth -> loud failure
-    import pytest
-
-    chain = pa.table(
-        {
-            "u": pa.array([0, 1, 2, 3], pa.int64()),
-            "v": pa.array([1, 2, 3, 4], pa.int64()),
-        }
-    )
-    with pytest.raises(RuntimeError, match="did not converge"):
-        kcore(rd.from_arrow(chain), k=2, max_iters=1)
-
-
-def test_label_propagation_matches_serial_reference(ray_session):
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    from ocr_ray.ops.graph import label_propagation
-
-    rng = np.random.default_rng(17)
-    n_nodes, n_edges, iters = 40, 90, 4
-    es = set()
-    while len(es) < n_edges:
-        u, v = rng.integers(0, n_nodes, 2)
-        if u != v:
-            es.add((min(int(u), int(v)), max(int(u), int(v))))
-    edges = sorted(es)
-
-    # serial synchronous LPA: mode of neighbor labels, ties -> min label
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    labels = {n: n for n in adj}
-    for _ in range(iters):
-        nxt = {}
-        for node, nbrs in adj.items():
-            counts: dict[int, int] = {}
-            for nb in nbrs:
-                counts[labels[nb]] = counts.get(labels[nb], 0) + 1
-            best = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-            nxt[node] = best[0]
-        labels = nxt
-
-    tbl = pa.table(
-        {
-            "u": pa.array([e[0] for e in edges], pa.int64()),
-            "v": pa.array([e[1] for e in edges], pa.int64()),
-        }
-    )
-    got = {
-        r["node"]: r["label"]
-        for r in label_propagation(rd.from_arrow(tbl), iters=iters).take_all()
-    }
-    assert got == labels

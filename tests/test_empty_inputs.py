@@ -19,36 +19,10 @@ def _empty_docs():
 
 def test_pair_ops_on_empty_corpus(ray_session):
     from ocr_ray.ops.dedup import ngram_containment_pairs
-    from ocr_ray.ops.strsim import (
-        doc_cosine_pairs_sparse,
-        fuzzy_word_pairs,
-        word_variant_clusters,
-    )
+    from ocr_ray.ops.strsim import doc_cosine_pairs_sparse
 
-    for fn in (
-        fuzzy_word_pairs,
-        doc_cosine_pairs_sparse,
-        word_variant_clusters,
-        ngram_containment_pairs,
-    ):
+    for fn in (doc_cosine_pairs_sparse, ngram_containment_pairs):
         assert fn(_empty_docs()).take_all() == [], fn.__name__
-
-
-def test_kmv_on_empty_events(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.sketch import kmv_distinct, kmv_overlap, kmv_registers
-
-    empty = rd.from_arrow(
-        pa.schema([("user_id", pa.int64()), ("event_type", pa.string())])
-        .empty_table()
-    )
-    assert kmv_registers(empty, "user_id").take_all() == []
-    assert kmv_distinct(empty, "user_id").to_pylist() == [
-        {"kmv_estimate": 0.0, "kth_hash": -1, "n_regs": 0}
-    ]
-    row = kmv_overlap(empty, "user_id", "event_type", "a", "b").to_pylist()[0]
-    assert row["n_union_regs"] == 0 and row["jaccard_est"] == 0.0
 
 
 def test_adaptive_join_empty_schemaless_sides(ray_session):
@@ -77,31 +51,6 @@ def test_adaptive_join_empty_schemaless_sides(ray_session):
     assert adaptive_key_join(
         nonempty, derived_empty(["id", "w"]), on="id"
     ).take_all() == []
-
-
-def _empty_events():
-    import ray.data as rd
-
-    return rd.from_arrow(
-        pa.schema(
-            [
-                ("event_id", pa.int64()),
-                ("ts", pa.timestamp("us")),
-                ("user_id", pa.int64()),
-                ("event_type", pa.string()),
-                ("value", pa.float64()),
-            ]
-        ).empty_table()
-    )
-
-
-def test_continuation_ops_on_empty_events(ray_session):
-    from ocr_ray.ops.sketch import quantile_sketch, quantile_sketch_violations
-
-    e = _empty_events()
-    ests, total = quantile_sketch(e)
-    assert ests == [] and total == 0
-    assert quantile_sketch_violations(e).num_rows == 0
 
 
 def test_continuation_ops_on_empty_docs_and_tables(ray_session):

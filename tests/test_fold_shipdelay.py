@@ -1,5 +1,4 @@
-"""k-fold balance audit, target encoding and Neyman allocation vs hand
-oracles."""
+"""k-fold balance audit and Neyman allocation vs hand oracles."""
 from __future__ import annotations
 
 import math
@@ -50,42 +49,6 @@ def test_fold_balance(ray_session):
     # hash folding over sequential ids with a 3-periodic lang should be
     # reasonably balanced -> small chi2
     assert (got.chi2 < 10).all()
-
-
-def test_target_encoding_leave_fold_out(ray_session):
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    from ocr_ray.ops.split import target_encoding_folds
-
-    users = [1, 2, 3, 4, 5, 6]
-    vals = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-    events = pa.table(
-        {
-            "user_id": pa.array(users, pa.int64()),
-            "event_type": pa.array(["X"] * 6, pa.string()),
-            "value": pa.array(vals, pa.float64()),
-        }
-    )
-    out = (
-        target_encoding_folds(rd.from_arrow(events), k=3)
-        .to_pandas()
-        .sort_values("fold")
-        .reset_index(drop=True)
-    )
-    # independent replay of the fold hash and the leave-fold-out means
-    folds = [((u * 2654435761) % (1 << 32)) % 3 for u in users]
-    cents = [round(v * 100) for v in vals]
-    total_n, total_s = len(users), sum(cents)
-    for _, row in out.iterrows():
-        f = int(row["fold"])
-        nf = sum(1 for x in folds if x == f)
-        sf = sum(c for x, c in zip(folds, cents) if x == f)
-        assert row["n_in_fold"] == nf
-        assert row["n_rest"] == total_n - nf
-        assert row["enc_cents"] == (total_s - sf) / (total_n - nf)
-    assert out["n_in_fold"].sum() == 6
 
 
 def test_neyman_allocation_hand(ray_session):

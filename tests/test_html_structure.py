@@ -56,7 +56,7 @@ def test_link_stats_counts_chrome_links():
 def test_html_table_cells_and_link_violations(ray_session):
     import ray.data as rd
 
-    from ocr_ray.ops.htmlops import html_link_violations, html_table_cells
+    from ocr_ray.ops.htmlops import html_link_violations
 
     spans = [
         [
@@ -78,10 +78,5 @@ def test_html_table_cells_and_link_violations(ray_session):
         }
     )
     ds = rd.from_arrow(t)
-    cells = html_table_cells(ds).to_pandas()
-    assert len(cells) == 2
-    assert cells.cell_text.tolist() == ["p", "q"]
-    assert cells.doc_id.tolist() == ["d1", "d1"]
-
     viol = html_link_violations(ds).to_pandas()
     assert len(viol) == 0  # d2 has no html spans, so no planted-nav rule

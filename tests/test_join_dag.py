@@ -78,30 +78,30 @@ def test_three_chained_large_joins_complete(ray_session):
 def test_sparse_graph_join_survives_empty_partitions(ray_session):
     """Regression for the hash-shuffle schema-broadcast bug (see
     ocr_ray/context.py:_patch_hash_shuffle_empty_blocks): a 7-edge
-    graph leaves most join partitions empty and the wedge dataset's
-    first block is a 0-row column-less aggregate output — unpatched,
-    the closure join dies with ArrowInvalid 'No match for key field'."""
+    graph leaves most join partitions empty, so the wedge join's first
+    output block is a 0-row column-less block — unpatched, the closure
+    join dies with ArrowInvalid in HashShuffleAggregator.finalize."""
     import ray.data as rd
 
-    from ocr_ray.ops.graph import clustering_coefficients, triangle_counts
+    from ocr_ray.ops.dedup import _renamed
+    from ocr_ray.ops.joins import large_join
 
     edges = [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5), (5, 6)]
-
-    def mk():
-        return rd.from_arrow(
-            pa.table(
-                {
-                    "u": pa.array([e[0] for e in edges], pa.int64()),
-                    "v": pa.array([e[1] for e in edges], pa.int64()),
-                }
-            )
+    e = rd.from_arrow(
+        pa.table(
+            {
+                "u": pa.array([u for u, _ in edges], pa.int64()),
+                "v": pa.array([v for _, v in edges], pa.int64()),
+            }
         )
-
-    tris = {r["node"]: r["n_triangles"] for r in triangle_counts(mk()).take_all()}
-    assert tris == {1: 1, 2: 1, 3: 2, 4: 1, 5: 1}
-
-    cc = {r["node"]: r["lcc"] for r in clustering_coefficients(mk()).take_all()}
-    # node 3: deg 4 → 2 triangles / C(4,2)=6 wedges; node 6: leaf → 0
-    assert cc[3] == 2 / 6
-    assert cc[6] == 0.0
-    assert set(cc) == {1, 2, 3, 4, 5, 6}
+    ).materialize()
+    # wedges a < b < c over the canonical (u < v) edges, closed by (a, c)
+    wedge = large_join(
+        _renamed(e, {"u": "a", "v": "b"}),
+        _renamed(e, {"u": "b2", "v": "c"}),
+        on="b",
+        right_on="b2",
+    )
+    tris = large_join(wedge, _renamed(e, {"u": "a", "v": "c"}), on=("a", "c"))
+    got = {(r["a"], r["b"], r["c"]) for r in tris.take_all()}
+    assert got == {(1, 2, 3), (3, 4, 5)}

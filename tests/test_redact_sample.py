@@ -86,50 +86,3 @@ def test_weighted_sample_prefers_heavy_rows(ray_session):
     assert heavy >= int(0.9 * k)
 
 
-def test_negative_samples_excludes_purchases(ray_session):
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    from ocr_ray.ops.sample import negative_samples
-
-    n_parts = 10
-    orders = pa.table(
-        {
-            "o_orderkey": pa.array([100, 101], pa.int64()),
-            "o_custkey": pa.array([1, 2], pa.int64()),
-        }
-    )
-    lineitem = pa.table(
-        {
-            "l_orderkey": pa.array([100, 100, 101], pa.int64()),
-            "l_partkey": pa.array([3, 7, 5], pa.int64()),
-        }
-    )
-    out = (
-        negative_samples(
-            rd.from_arrow(orders), rd.from_arrow(lineitem),
-            n_parts=n_parts, k=3,
-        )
-        .to_pandas()
-        .sort_values(["custkey", "attempt"])
-        .reset_index(drop=True)
-    )
-    purchased = {1: {3, 7}, 2: {5}}
-    for c in (1, 2):
-        rows = out[out["custkey"] == c]
-        assert len(rows) == 3
-        # no purchased part is sampled, no repeats
-        assert not (set(rows["partkey"]) & purchased[c])
-        assert rows["partkey"].nunique() == 3
-        # independent replay of the candidate scan
-        expect = []
-        seen = set()
-        j = 0
-        while len(expect) < 3 and j < 64:
-            cd = ((c * 2654435761 + j * 40503) % (1 << 32)) % n_parts + 1
-            if cd not in purchased[c] and cd not in seen:
-                seen.add(cd)
-                expect.append((cd, j))
-            j += 1
-        assert list(zip(rows["partkey"], rows["attempt"])) == expect

@@ -20,10 +20,15 @@ def test_media_heavy_doc_spreads_across_actors(ray_session):
         batch to outlast actor startup."""
 
         def __call__(self, batch):
+            import os
             import time
 
+            import pyarrow as pa
+
             time.sleep(0.3)
-            return super().__call__(batch)
+            out = super().__call__(batch)
+            pid = pa.array([os.getpid()] * out.num_rows, pa.int64())
+            return out.append_column("worker_pid", pid)
 
     # one document with 64 pdf pages, tiny batches, a pool of 3 actors
     spans = [
@@ -40,7 +45,7 @@ def test_media_heavy_doc_spreads_across_actors(ray_session):
         .repartition(16)
         .map_batches(
             SlowSpanProcessor,
-            fn_constructor_kwargs={"debug_worker_column": True, "score": False},
+            fn_constructor_kwargs={"score": False},
             batch_format="pyarrow",
             batch_size=4,
             concurrency=3,
