@@ -2231,144 +2231,6 @@ def q_quality_by_source_lang(sf_dir: str):
     return agg.map_batches(finish, batch_format="pyarrow")
 
 
-def _dhash_corpus(sf_dir: str):
-    """Deterministic planted-duplicate texture corpus shared by
-    q_media_dhash_pairs and q_media_dhash_violations: every 10th image
-    (i % 10 == 9) is an exact copy of its i−9 predecessor, every
-    i % 10 == 5 a +6-brightness twin of i−5 (dHash is exactly invariant
-    to a uniform non-clipping shift)."""
-    import ray.data as rd
-
-    from ocr_ray.ops.multimodal import (
-        decode_raw_image,
-        encode_raw_image,
-        synthesize_texture_images,
-    )
-
-    _quiet()
-    n = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    tbl = synthesize_texture_images(n, seed=11)
-    payloads = tbl.column("payload").to_pylist()
-    for i in range(len(payloads)):
-        if i % 10 == 9:
-            payloads[i] = payloads[i - 9]          # exact copy
-        elif i % 10 == 5 and i >= 5:
-            img = decode_raw_image(payloads[i - 5])
-            img = (img.astype(np.int16) + 6).astype(np.uint8)  # never clips
-            payloads[i] = encode_raw_image(img)
-    return rd.from_arrow(
-        pa.table(
-            {
-                "media_id": tbl.column("media_id"),
-                "media_type": tbl.column("media_type"),
-                "payload": pa.array(payloads, pa.binary()),
-            }
-        )
-    ), n
-
-
-def q_media_dhash_pairs(sf_dir: str):
-    """Near-duplicate images over the planted-duplicate texture corpus
-    (_dhash_corpus; distinct textures land ~32 bits apart, so planted
-    duplicates are the only signal). Genuinely non-SQL-expressible
-    (pixel access) — rows-only in the driver, pinned by
-    tests/test_multimodal_dhash.py and gated by
-    q_media_dhash_violations."""
-    from ocr_ray.ops.multimodal import media_dhash_pairs
-
-    media, _ = _dhash_corpus(sf_dir)
-    return _materialized(
-        media_dhash_pairs(media),
-        pa.schema(
-            [("media_a", pa.int64()), ("media_b", pa.int64()),
-             ("hamming", pa.int64())]
-        ),
-    )
-
-
-def q_media_dhash_violations(sf_dir: str):
-    """Empty-oracle invariant gate for the (non-SQL) image near-dup
-    family, same pattern as ann_ivf_violations: every violated
-    invariant emits a row, so a buggy dHash/Hamming pipeline turns into
-    a row-count mismatch in the driver's gate.
-
-    Checked invariants over the planted corpus (_dhash_corpus):
-    1. pair ordering media_a < media_b, no duplicates;
-    2. reported hamming equals an independent exact popcount of the
-       two images' recomputed dHashes, and is <= max_hamming;
-    3. completeness: every PLANTED pair — (i−9, i) exact copies and
-       (i−5, i) brightness twins, both provably hamming 0 — appears.
-
-    Driver materialization is the pair set (bounded by the planted
-    count at this corpus) + one slim (media_id, hash) row per image —
-    at production scale check 2/3 would run as a hash join instead of
-    the broadcast dict, the invariants unchanged."""
-    from ocr_ray.ops.multimodal import (
-        decode_raw_image,
-        dhash64,
-        media_dhash_pairs,
-    )
-
-    media, n = _dhash_corpus(sf_dir)
-    pairs = media_dhash_pairs(media).take_all()
-
-    def hash_rows(t: pa.Table) -> pa.Table:
-        ids = t.column("media_id").to_pylist()
-        out = []
-        for i, payload in zip(ids, t.column("payload").to_pylist()):
-            h = dhash64(decode_raw_image(payload))
-            # dhash64 is unsigned 64-bit; reinterpret as signed for the
-            # int64 column (the masked XOR below is bit-pattern exact)
-            out.append(
-                {"media_id": i,
-                 "h": h - (1 << 64) if h >= (1 << 63) else h}
-            )
-        return pa.Table.from_pylist(
-            out,
-            schema=pa.schema(
-                [("media_id", pa.int64()), ("h", pa.int64())]
-            ),
-        )
-
-    hashes = {
-        r["media_id"]: r["h"]
-        for r in media.map_batches(
-            hash_rows, batch_format="pyarrow"
-        ).take_all()
-    }
-
-    violations: list[tuple[int, int, str]] = []
-    seen: set[tuple[int, int]] = set()
-    found: set[tuple[int, int]] = set()
-    for r in pairs:
-        a, b, ham = r["media_a"], r["media_b"], r["hamming"]
-        if a >= b:
-            violations.append((a, b, "pair not ordered a < b"))
-        if (a, b) in seen:
-            violations.append((a, b, "duplicate pair"))
-        seen.add((a, b))
-        found.add((a, b))
-        exact = int(
-            bin((hashes[a] ^ hashes[b]) & 0xFFFFFFFFFFFFFFFF).count("1")
-        )
-        if exact != ham:
-            violations.append((a, b, "hamming != exact recompute"))
-        if ham > 3:
-            violations.append((a, b, "hamming above max_hamming"))
-    for i in range(n):
-        if i % 10 == 9 and (i - 9, i) not in found:
-            violations.append((i - 9, i, "planted exact copy missing"))
-        elif i % 10 == 5 and i >= 5 and (i - 5, i) not in found:
-            violations.append((i - 5, i, "planted brightness twin missing"))
-    return pa.table(
-        {
-            "media_a": pa.array([v[0] for v in violations], pa.int64()),
-            "media_b": pa.array([v[1] for v in violations], pa.int64()),
-            "reason": pa.array([v[2] for v in violations], pa.string()),
-        }
-    )
-
-
 def q_embedding_dispersion(sf_dir: str):
     """Per-label within-group scatter from integer moments — see
     ops/search.py:embedding_dispersion_by_label."""
@@ -3451,7 +3313,6 @@ QUERIES = {
     "top_docs_per_lang": q_top_docs_per_lang,
     "zipf_slope_by_lang": q_zipf_slope_by_lang,
     "embedding_dispersion": q_embedding_dispersion,
-    "media_dhash_pairs": q_media_dhash_pairs,
     "dup_rate_by_source": q_dup_rate_by_source,
     "unigram_logprob": q_unigram_logprob,
     "embedding_gram": q_embedding_gram,
@@ -3507,7 +3368,6 @@ QUERIES = {
     "char_dup_coverage": q_char_dup_coverage,
     "compaction_plan": q_compaction_plan,
     "hapax_rate_by_source": q_hapax_rate_by_source,
-    "media_dhash_violations": q_media_dhash_violations,
     "token_budget_sample": q_token_budget_sample,
     "lang_source_mutual_info": q_lang_source_mutual_info,
     "phrase_match_counts": q_phrase_match_counts,
@@ -3528,7 +3388,7 @@ QUERIES = {
 # composed curation DAG, learning/scoring, joins/events, every dedup
 # family, ANN/clustering, decontam, text quality, curation/sampling,
 # splits, chunk/pack, sketches, search, span stats, string-sim, info-theory,
-# multimodal, numeric stats — making the capped artifact representative
+# integrity, numeric stats — making the capped artifact representative
 # of breadth rather than insertion history (VERDICT r03 visibility
 # note). The full sweep still runs via scripts/check_oracles.py.
 _FAMILY_FIRST_50 = [
@@ -3551,7 +3411,7 @@ _FAMILY_FIRST_50 = [
     "chunk_docs", "pack_sequences",
     "cms_heavy_hitters", "hll_vocab_by_source",
     "search_bm25", "rrf_fusion", "span_kind_stats", "jaro_winkler_pairs",
-    "lang_source_mutual_info", "media_dhash_violations",
+    "lang_source_mutual_info", "documents_checksum",
     "welch_t_by_source",
 ]
 assert len(_FAMILY_FIRST_50) == 50 and len(set(_FAMILY_FIRST_50)) == 50
@@ -5861,11 +5721,6 @@ def oracle_sql() -> dict[str, str]:
     from ocr_ray.ops.keyness import hapax_rate_by_source_sql
 
     oracles["hapax_rate_by_source"] = hapax_rate_by_source_sql()
-    oracles["media_dhash_violations"] = (
-        "SELECT CAST(NULL AS BIGINT) AS media_a,"
-        " CAST(NULL AS BIGINT) AS media_b,"
-        " CAST(NULL AS VARCHAR) AS reason WHERE 1=0"
-    )
 
     from ocr_ray.ops.sample import token_budget_sample_sql
 

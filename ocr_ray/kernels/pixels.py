@@ -1,4 +1,4 @@
-"""Pure-numpy image kernels for the multimodal preprocessing stages.
+"""Pure-numpy image kernels (SURVEY §2.2 rows M3-M6).
 
 These reimplement the reference's image preprocessing semantics
 (reference app/services/ocr_service.py):

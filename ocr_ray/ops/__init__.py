@@ -3,9 +3,9 @@
 Every module here is imported by a pipeline, a stage, the CLI, a
 ``driver.QUERIES`` entry or another module here, and every public
 function or class is called from one of those (tests/test_registry.py
-checks both). The exceptions are named in that test: the ``multimodal``
-media-codec plumbing and a few ``analysis``, ``joins`` and
-``learning_state`` helpers, all left for a later deletion batch.
+checks both). The exceptions are named in that test: a few
+``analysis``, ``joins`` and ``learning_state`` helpers, left for a
+later deletion batch.
 
 - analysis: word-frequency learning aggregation (A1), stats (A2-A7),
   top-k (O1), language ID, quality scoring, token counts, fingerprints
@@ -20,5 +20,4 @@ media-codec plumbing and a few ``analysis``, ``joins`` and
 - textstats, tfidf, lm, keyness, lexicon, search, strsim, infotheory,
   rankcorr, stats, sketch, layout, htmlops, spanstats: corpus
   analytics behind the registry queries
-- multimodal: binary-column decode/resize/frame-sample stage plumbing
 """

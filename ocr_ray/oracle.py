@@ -25,12 +25,10 @@ from ocr_ray.stages.reassemble import merge_doc_text
 def extract_oracle(table: pa.Table, config: ExtractConfig | None = None) -> dict[str, dict]:
     """doc_id → {"spans": [(kind, text, media_ref, offset)...], "doc_text": str}.
 
-    The config's learned words extend the kamus for this call only, as
-    they do for each actor of a run; the process's previous extension is
-    restored afterwards."""
+    The config's learned words, none included, make the kamus extension
+    for this call only, as they do for each actor of a run; the
+    process's previous extension is restored afterwards."""
     config = config or ExtractConfig()
-    if not config.learned_words:
-        return _extract(table, config)
     previous = data._EXTRA_WORDS
     data.set_runtime_extra_words(config.learned_words)
     try:

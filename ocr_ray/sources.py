@@ -4,8 +4,8 @@ per-request MinIO object fetch (app/services/minio_service.py:30-39).
 ``read_media_files`` wraps ``ray.data.read_binary_files`` into the
 engine's media-table shape (media_id, media_ref, payload): one row per
 object, payloads stay in the object store as Arrow binary columns, and
-``media_ref`` keeps the source URI so downstream stages (multimodal
-decode, a real OCR engine) can re-fetch or attribute lineage.
+``media_ref`` keeps the source URI so downstream stages (a real OCR
+engine) can re-fetch or attribute lineage.
 
 ``attach_media_payloads`` joins a span table's media_refs against an
 ingested media table batch-side (broadcast for small media sets) — the

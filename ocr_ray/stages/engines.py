@@ -50,10 +50,9 @@ class MockTesseractEngine:
     def read_page(self, media_ref, language="mixed", enhance=False):
         text, confidences = synth.media_payload(media_ref)
         # `enhance` maps to the reference's cv2 preprocess chain
-        # (ocr_service.py:145-223). The REAL numpy chain is
-        # kernels/pixels.py:enhance_chain (ops/multimodal.EnhanceImage
-        # stage); the mock consumes media_refs, not pixels, so the flag
-        # is a no-op HERE only.
+        # (ocr_service.py:145-223), whose numpy form is
+        # kernels/pixels.py:enhance_chain; the mock consumes media_refs,
+        # not pixels, so the flag is a no-op here.
         if not confidences:
             confidences = list(DEFAULT_CONFIDENCES)
         return text, confidences

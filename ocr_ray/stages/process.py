@@ -141,12 +141,13 @@ class SpanProcessor:
     def __init__(self, engine: str = "auto", learned_words=(), **span_kwargs):
         """``span_kwargs`` are ``process_span``'s keyword arguments; the
         engine reads pages in their ``language`` when one is given."""
-        if learned_words:
-            # run-level dictionary extension, applied once per actor —
-            # the reference's startup learned-words merge (main.py:147-153)
-            from ocr_ray import data
+        # run-level dictionary extension, applied once per actor — the
+        # reference's startup learned-words merge (main.py:147-153). An
+        # empty one is set too, so an extension an earlier processor set
+        # in this process does not leak into this one.
+        from ocr_ray import data
 
-            data.set_runtime_extra_words(learned_words)
+        data.set_runtime_extra_words(learned_words)
         self.engine = make_engine(
             engine, **{k: v for k, v in span_kwargs.items() if k == "language"}
         )

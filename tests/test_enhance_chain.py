@@ -1,11 +1,11 @@
 """M6 enhance chain (reference preprocess_gambar, ocr_service.py:
-145-223) — step-level kernel tests plus the end-to-end actor stage on
-raw-RGB and PNG payloads."""
+145-223) — step-level kernel tests and the whole chain on a synthetic
+page."""
 from __future__ import annotations
 
 import numpy as np
-import pyarrow as pa
 import pytest
+from synth_pages import render_text_page
 
 import ocr_ray.kernels.pixels as px
 
@@ -69,8 +69,6 @@ def test_contrast_scale_abs_quirk():
 
 
 def test_enhance_chain_darkens_and_thickens_text():
-    from ocr_ray.ops.multimodal import render_text_page
-
     page = render_text_page(128, 96, n_lines=5, yellow=True, seed=3)
     out = px.enhance_chain(page)
     assert out.shape == page.shape and out.dtype == np.uint8
@@ -80,66 +78,3 @@ def test_enhance_chain_darkens_and_thickens_text():
     gin = px.to_gray(page)
     gout = out[:, :, 0]
     assert (gout < 100).sum() > (gin < 100).sum()
-
-
-def test_enhance_stage_on_rawi_and_png(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.kernels.png import encode_png
-    from ocr_ray.ops.multimodal import (
-        EnhanceImage,
-        decode_raw_image,
-        encode_raw_image,
-        is_raw_image,
-        render_text_page,
-    )
-
-    pages = [render_text_page(96, 64, seed=i, yellow=i % 2 == 0) for i in range(3)]
-    tbl = pa.table(
-        {
-            "media_id": pa.array([0, 1, 2], pa.int64()),
-            "payload": pa.array(
-                [
-                    encode_raw_image(pages[0]),
-                    encode_png(pages[1]),
-                    b"\xff\xd8\xffopaque-jpeg",
-                ],
-                pa.binary(),
-            ),
-        }
-    )
-    out = (
-        rd.from_arrow(tbl)
-        .map_batches(
-            EnhanceImage, batch_format="pyarrow", concurrency=1
-        )
-        .to_pandas()
-        .sort_values("media_id")
-    )
-    assert list(out.enhanced) == [True, True, False]
-    for i in (0, 1):
-        p = out.iloc[i].payload
-        assert is_raw_image(p)
-        assert np.array_equal(
-            decode_raw_image(p), px.enhance_chain(pages[i])
-        )
-    assert out.iloc[2].payload == b"\xff\xd8\xffopaque-jpeg"
-
-
-def test_enhance_stage_disabled_flag():
-    from ocr_ray.ops.multimodal import (
-        EnhanceImage,
-        encode_raw_image,
-        render_text_page,
-    )
-
-    page = render_text_page(64, 48, seed=9)
-    t = pa.table(
-        {
-            "media_id": pa.array([1], pa.int64()),
-            "payload": pa.array([encode_raw_image(page)], pa.binary()),
-        }
-    )
-    out = EnhanceImage(enhance=False)(t)
-    assert out.column("enhanced")[0].as_py() is False
-    assert out.column("payload")[0].as_py() == encode_raw_image(page)

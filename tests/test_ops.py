@@ -1,5 +1,5 @@
 """Operator tests: dedup family vs brute-force oracles, ANN recall,
-learning-state merge semantics, multimodal plumbing."""
+learning-state merge semantics."""
 from __future__ import annotations
 
 import numpy as np
@@ -395,35 +395,6 @@ def test_export_import_roundtrip(tmp_path):
 
     ls.save_state(state, str(tmp_path / "state.parquet"))
     assert ls.load_state(str(tmp_path / "state.parquet")).num_rows == 2
-
-
-# ----------------------------------------------------------- multimodal
-
-
-def test_multimodal_stages(ray_session):
-    from ocr_ray.ops import multimodal as mm
-
-    media = mm.synthesize_media(40)
-    decoded = mm.decode_media(_ray_ds(media))
-    resized = mm.resize_images(decoded, max_dimension=300)
-    df = resized.to_pandas()
-    assert len(df) == 40
-    assert (df["new_width"] <= 300).all() and (df["new_height"] <= 300).all()
-    # aspect preserved within rounding
-    keep = df[df["width"] > 300]
-    assert not keep.empty
-
-    frames = mm.sample_frames(mm.decode_media(_ray_ds(media))).to_pandas()
-    assert set(frames.columns) == {"media_id", "frame_idx", "ts_ms"}
-    videos = df[df["media_type"] == "video"]["media_id"]
-    assert set(frames["media_id"]).issubset(set(videos))
-    assert not frames.empty
-
-    # real_codecs now decodes PNG/RAWI for real (kernels/png.py); any
-    # other compressed payload still names its missing library
-    real = mm.DecodeMedia(real_codecs=True)
-    with pytest.raises(NotImplementedError):
-        real._decode(media.column("payload")[0].as_py())
 
 
 def test_frequent_shingles_boilerplate(ray_session):

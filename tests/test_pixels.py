@@ -1,20 +1,16 @@
-"""Pure-numpy pixel kernels (kernels/pixels.py) + the real pixel paths
-through the multimodal actor stages.
+"""Pure-numpy pixel kernels (kernels/pixels.py).
 
-The raw-image (RAWI) payload family needs no codec, so resize / deskew /
-background-neutralize are REAL pixel transforms here — these tests pin
-the reference semantics (ocr_service.py:19-122): max-dimension resize
+Resize / deskew / background-neutralize are REAL pixel transforms on
+synthetic pages — these tests pin the reference semantics (ocr_service.py:19-122): max-dimension resize
 guard, Otsu + skip-small-content + skip-small-angle deskew with expanded
 bounds, LAB a/b neutralization with CLAHE-enhanced L.
 """
 from __future__ import annotations
 
 import numpy as np
-import pyarrow as pa
-import pytest
+from synth_pages import render_text_page
 
 from ocr_ray.kernels import pixels as px
-from ocr_ray.ops import multimodal as mm
 
 
 # ----------------------------------------------------------------- resize
@@ -64,7 +60,7 @@ def test_otsu_separates_bimodal():
 
 
 def test_estimate_skew_recovers_known_rotation():
-    page = mm.render_text_page(128, 128, n_lines=6)
+    page = render_text_page(128, 128, n_lines=6)
     for true_angle in (-7.0, -3.0, 4.0, 8.5):
         rotated = px.rotate_expand(page, true_angle)
         est = px.estimate_skew(rotated)
@@ -72,7 +68,7 @@ def test_estimate_skew_recovers_known_rotation():
 
 
 def test_deskew_straightens_and_skips():
-    page = mm.render_text_page(128, 128, n_lines=6)
+    page = render_text_page(128, 128, n_lines=6)
     rotated = px.rotate_expand(page, 6.0)
     straight, angle = px.deskew(rotated, min_angle=0.5)
     assert abs(angle - 6.0) <= 1.0
@@ -136,7 +132,7 @@ def test_clahe_improves_low_contrast():
 
 
 def test_neutralize_background_removes_yellow_keeps_text():
-    page = mm.render_text_page(96, 96, n_lines=5, yellow=True)
+    page = render_text_page(96, 96, n_lines=5, yellow=True)
     out = px.neutralize_background(page)
     lab_out = px.rgb_to_lab(out)
     # chroma neutralized: a/b near 128 everywhere
@@ -148,77 +144,3 @@ def test_neutralize_background_removes_yellow_keeps_text():
     dark = gray[gray <= t].mean()
     light = gray[gray > t].mean()
     assert light - dark > 60
-
-
-# ------------------------------------------- raw payload codec + stages
-
-
-def test_raw_image_codec_round_trip():
-    page = mm.render_text_page(70, 50)
-    payload = mm.encode_raw_image(page)
-    assert mm.is_raw_image(payload)
-    back = mm.decode_raw_image(payload)
-    assert back.shape == (50, 70, 3)
-    assert (back == page).all()
-    with pytest.raises(ValueError):
-        mm.decode_raw_image(b"OCRX" + b"\0" * 16)
-    with pytest.raises(ValueError):
-        mm.encode_raw_image(np.zeros((4, 4), dtype=np.uint8))
-
-
-def test_raw_pipeline_end_to_end(ray_session):
-    import ray.data as rd
-
-    media = mm.synthesize_raw_images(12, max_dim=200, skew_every=3,
-                                     yellow_every=4)
-    decoded = mm.decode_media(rd.from_arrow(media), concurrency=1,
-                              batch_size=6)
-    resized = mm.resize_images(decoded, max_dimension=96, concurrency=1)
-    out = resized.map_batches(
-        mm.DeskewImage, batch_format="pyarrow", concurrency=1, batch_size=6
-    ).map_batches(
-        mm.RemoveBackground, batch_format="pyarrow", concurrency=1,
-        batch_size=6,
-    )
-    tbl = pa.concat_tables(out.iter_batches(batch_format="pyarrow"))
-    assert tbl.num_rows == 12
-    assert tbl.column("background_neutralized").to_pylist() == [True] * 12
-
-    new_w = tbl.column("new_width").to_pylist()
-    new_h = tbl.column("new_height").to_pylist()
-    payloads = tbl.column("payload").to_pylist()
-    angles = tbl.column("deskew_angle").to_pylist()
-    skew_count = 0
-    for i, p in enumerate(payloads):
-        assert mm.is_raw_image(p)
-        img = mm.decode_raw_image(p)
-        # resize cap honored on the ACTUAL pixels at the resize stage
-        assert max(new_w[i], new_h[i]) <= 96
-        # deskew may expand bounds after resize, but not by more than
-        # the rotation geometry allows (sqrt(2) factor)
-        assert max(img.shape[0], img.shape[1]) <= int(96 * 1.5)
-        # straightened pages measure near-zero residual skew
-        assert abs(px.estimate_skew(img)) < 1.5
-        if angles[i] != 0.0:
-            skew_count += 1
-        # background neutralized on the actual pixels
-        lab = px.rgb_to_lab(img)
-        assert np.abs(lab[:, :, 2] - 128).mean() < 6.0
-    # the synthesizer pre-rotated every 3rd page by >= 2 degrees
-    assert skew_count >= 3
-
-
-def test_mixed_raw_and_fake_batch(ray_session):
-    import ray.data as rd
-
-    fake = mm.synthesize_media(6)
-    raw = mm.synthesize_raw_images(6, skew_every=2, yellow_every=3)
-    raw = raw.set_column(
-        0, "media_id",
-        pa.array([100 + i for i in range(6)], pa.int64()),
-    )
-    both = pa.concat_tables([fake, raw])
-    ds = mm.decode_media(rd.from_arrow(both), concurrency=1, batch_size=4)
-    df = mm.resize_images(ds, max_dimension=80, concurrency=1).to_pandas()
-    assert len(df) == 12
-    assert (df["new_width"] <= 80).all() and (df["new_height"] <= 80).all()

@@ -1,12 +1,9 @@
-"""Stdlib PNG codec (kernels/png.py) and its wiring into the media
-decode seam: round-trips over every scanline filter, CRC detection,
-DecodeMedia(real_codecs=True) transcoding PNG → RAWI so the real pixel
-kernels run on compressed input, and media_dhash_pairs hashing PNG
-payloads identically to the raw path."""
+"""Stdlib PNG codec (kernels/png.py): round-trips over every scanline
+filter, the literal bytes of a filter-0 scanline, CRC and signature
+detection."""
 from __future__ import annotations
 
 import numpy as np
-import pyarrow as pa
 import pytest
 
 from ocr_ray.kernels.png import decode_png, encode_png, is_png
@@ -57,111 +54,3 @@ def test_crc_and_format_errors():
     with pytest.raises(ValueError, match="signature"):
         decode_png(b"nope")
     assert not is_png(b"nope") and is_png(encode_png(img))
-
-
-def test_decode_media_transcodes_png_to_rawi(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.multimodal import (
-        DecodeMedia,
-        decode_raw_image,
-        is_raw_image,
-        render_text_page,
-    )
-
-    pages = [render_text_page(64 + 8 * i, 48 + 4 * i, seed=i) for i in range(4)]
-    tbl = pa.table(
-        {
-            "media_id": pa.array(range(4), pa.int64()),
-            "payload": pa.array(
-                [encode_png(p, filter_type="mixed") for p in pages],
-                pa.binary(),
-            ),
-        }
-    )
-    out = (
-        rd.from_arrow(tbl)
-        .map_batches(
-            DecodeMedia,
-            fn_constructor_kwargs={"real_codecs": True},
-            batch_format="pyarrow",
-            concurrency=1,
-        )
-        .to_pandas()
-        .sort_values("media_id")
-    )
-    for i, row in out.iterrows():
-        assert is_raw_image(row.payload)
-        assert np.array_equal(decode_raw_image(row.payload), pages[int(row.media_id)])
-        assert (row.width, row.height) == (
-            pages[int(row.media_id)].shape[1],
-            pages[int(row.media_id)].shape[0],
-        )
-
-
-def test_decode_media_png_metadata_without_real_codecs(ray_session):
-    from ocr_ray.ops.multimodal import DecodeMedia
-
-    page = np.zeros((10, 20, 3), np.uint8)
-    stage = DecodeMedia(real_codecs=False)
-    t = pa.table(
-        {
-            "media_id": pa.array([1], pa.int64()),
-            "payload": pa.array([encode_png(page)], pa.binary()),
-        }
-    )
-    out = stage(t)
-    assert out.column("width")[0].as_py() == 20
-    assert out.column("height")[0].as_py() == 10
-    # metadata-only mode leaves the payload compressed
-    assert is_png(out.column("payload")[0].as_py())
-
-
-def test_decode_media_jpeg_real_mode_contract():
-    """Baseline JPEG now decodes for real (kernels/jpeg.py); the
-    real-mode errors are: ValueError for a corrupt stream,
-    NotImplementedError ONLY for non-baseline flavors (see
-    tests/test_jpeg.py for the progressive fixture)."""
-    from ocr_ray.ops.multimodal import DecodeMedia
-
-    stage = DecodeMedia(real_codecs=True)
-    with pytest.raises(ValueError, match="corrupt"):
-        stage._decode(b"\xff\xd8\xff\xe0fakejpeg")
-
-
-def test_dhash_pairs_identical_on_png_and_raw(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.multimodal import (
-        encode_raw_image,
-        media_dhash_pairs,
-        render_text_page,
-    )
-
-    pages = [render_text_page(96, 64, seed=i) for i in range(6)]
-    # plant a near-dup: page 100 = page 0 with one flipped pixel
-    near = pages[0].copy()
-    near[5, 5] ^= 1
-    ids = list(range(6)) + [100]
-    imgs = pages + [near]
-
-    def table(encode):
-        return pa.table(
-            {
-                "media_id": pa.array(ids, pa.int64()),
-                "payload": pa.array([encode(p) for p in imgs], pa.binary()),
-            }
-        )
-
-    def pairs_of(tbl):
-        return sorted(
-            (int(a), int(b), int(h))
-            for a, b, h in media_dhash_pairs(rd.from_arrow(tbl))
-            .to_pandas()[["media_a", "media_b", "hamming"]]
-            .itertuples(index=False)
-        )
-
-    raw_pairs = pairs_of(table(encode_raw_image))
-    png_pairs = pairs_of(table(lambda p: encode_png(p, filter_type="mixed")))
-    assert raw_pairs == png_pairs
-    assert any(a == 0 and b == 100 for a, b, _ in png_pairs)

@@ -1,43 +1,23 @@
 """Registry hygiene, checked without a Ray session: every oracle belongs
-to a registered query, every query but the rows-only three has an
-oracle, the family-first ordering names only registered queries, and
-every ``ocr_ray/ops`` module and public function is reachable from a
-pipeline, a stage, the CLI or a registered query (so an orphaned
-module, a test-only function or a stale oracle fails here instead of
-lingering)."""
+to a registered query, every query but the rows-only two has an
+oracle, the family-first ordering names only registered queries, every
+``ocr_ray/ops`` module and public function is reachable from a
+pipeline, a stage, the CLI or a registered query, and every
+``ocr_ray/kernels`` module is imported from outside the tests (so an
+orphaned module, a test-only function or a stale oracle fails here
+instead of lingering)."""
 from __future__ import annotations
 
 import ast
 import pathlib
 
 PKG = pathlib.Path(__file__).resolve().parent.parent / "ocr_ray"
-ROWS_ONLY = {"extract_documents", "extract_spans", "media_dhash_pairs"}
+ROWS_ONLY = {"extract_documents", "extract_spans"}
 
-# Public ops names that nothing but their own tests reaches yet. The
-# multimodal media-codec plumbing goes with kernels/jpeg, png, imagefmt
-# and pixels in the next deletion batch; the analysis, joins and
-# learning_state helpers are left for a later one.
+# Public ops names that nothing but their own tests reaches yet: the
+# analysis, joins and learning_state helpers, left for a later deletion
+# batch.
 UNREACHED_OPS = {
-    "multimodal.AudioChunkStats",
-    "multimodal.DecodeMedia",
-    "multimodal.DeskewImage",
-    "multimodal.EnhanceImage",
-    "multimodal.RemoveBackground",
-    "multimodal.ResizeImage",
-    "multimodal.SampleFrames",
-    "multimodal.SilenceSegments",
-    "multimodal.audio_chunk_stats",
-    "multimodal.decode_media",
-    "multimodal.decode_raw_audio",
-    "multimodal.encode_raw_audio",
-    "multimodal.enhance_images",
-    "multimodal.render_text_page",
-    "multimodal.resize_images",
-    "multimodal.sample_frames",
-    "multimodal.silence_segments",
-    "multimodal.synthesize_media",
-    "multimodal.synthesize_raw_audio",
-    "multimodal.synthesize_raw_images",
     "analysis.events_by_type",
     "analysis.events_per_day",
     "joins.anti_join_filter",
@@ -47,6 +27,11 @@ UNREACHED_OPS = {
     "learning_state.merge_counts",
     "learning_state.save_state",
 }
+
+# Kernel modules that only tests import: pixels carries the SURVEY
+# M3-M6 image-preprocess row, and the PNG codec goes in the next
+# deletion batch.
+TEST_ONLY_KERNELS = {"pixels", "png"}
 
 
 def test_oracles_match_queries():
@@ -64,19 +49,21 @@ def test_family_first_names_registered_queries():
     assert list(QUERIES)[: len(_FAMILY_FIRST_50)] == _FAMILY_FIRST_50
 
 
-def _imported_ops(nodes) -> set[str]:
-    """ops module names imported anywhere inside the given AST nodes."""
+def _imported(nodes, package: str = "ops") -> set[str]:
+    """``ocr_ray.<package>`` module names imported anywhere inside the
+    given AST nodes."""
+    pkg = f"ocr_ray.{package}"
     out = set()
     for node in nodes:
         for n in ast.walk(node):
             if isinstance(n, ast.ImportFrom) and n.module:
-                if n.module == "ocr_ray.ops":
+                if n.module == pkg:
                     out.update(a.name for a in n.names)
-                elif n.module.startswith("ocr_ray.ops."):
+                elif n.module.startswith(pkg + "."):
                     out.add(n.module.split(".")[2])
             elif isinstance(n, ast.Import):
                 for a in n.names:
-                    if a.name.startswith("ocr_ray.ops."):
+                    if a.name.startswith(pkg + "."):
                         out.add(a.name.split(".")[2])
     return out
 
@@ -120,14 +107,14 @@ def test_every_ops_module_has_an_importer():
         p.stem for p in (PKG / "ops").glob("*.py") if p.stem != "__init__"
     }
     roots = _entry_modules()
-    kept = _imported_ops(roots + _registered_function_bodies())
+    kept = _imported(roots + _registered_function_bodies())
     frontier = set(kept)
     while frontier:
         mod = frontier.pop()
         if mod not in ops:
             continue
         src = (PKG / "ops" / f"{mod}.py").read_text()
-        new = _imported_ops([ast.parse(src)])
+        new = _imported([ast.parse(src)])
         frontier |= new - kept
         kept |= new
     assert ops <= kept, sorted(ops - kept)
@@ -183,3 +170,32 @@ def test_every_public_ops_function_is_reached():
     unreached = {q for q in public if q.split(".", 1)[1] not in reached}
     assert unreached <= UNREACHED_OPS, sorted(unreached - UNREACHED_OPS)
     assert UNREACHED_OPS <= unreached, sorted(UNREACHED_OPS - unreached)
+
+
+def test_every_kernel_module_is_imported_outside_tests():
+    """Every ``ocr_ray/kernels`` module is imported by another module of
+    the package, a script, the benchmark or an entry point. Only
+    ``TEST_ONLY_KERNELS`` is exempt, and each of its names must still be
+    a kernel module that nothing outside the tests imports."""
+    root = PKG.parent
+    kernels = {
+        p.stem for p in (PKG / "kernels").glob("*.py") if p.stem != "__init__"
+    }
+    sources = [
+        *PKG.rglob("*.py"),
+        *(root / "scripts").glob("*.py"),
+        *(root / "benchmark").glob("*.py"),
+        root / "bench.py",
+        root / "__ray_entry__.py",
+    ]
+    imported = set()
+    for p in sources:
+        own = p.stem if p.parent == PKG / "kernels" else None
+        imported |= _imported([ast.parse(p.read_text())], "kernels") - {own}
+    unimported = kernels - imported
+    assert unimported <= TEST_ONLY_KERNELS, sorted(
+        unimported - TEST_ONLY_KERNELS
+    )
+    assert TEST_ONLY_KERNELS <= unimported, sorted(
+        TEST_ONLY_KERNELS - unimported
+    )

@@ -37,25 +37,6 @@ def test_winnow_edge_cases():
     assert len(short) == 1
 
 
-def test_multimodal_preprocess_stubs(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops import multimodal as mm
-
-    media = mm.synthesize_media(12)
-    ds = rd.from_arrow(media).map_batches(
-        mm.DeskewImage, batch_format="pyarrow", concurrency=1, batch_size=6
-    ).map_batches(
-        mm.RemoveBackground, batch_format="pyarrow", concurrency=1, batch_size=6
-    )
-    df = ds.to_pandas()
-    assert "deskew_angle" in df and "background_neutralized" in df
-    assert (df["background_neutralized"]).all()
-    # angles below the threshold are zeroed, others kept
-    nonzero = df[df["deskew_angle"] != 0.0]["deskew_angle"].abs()
-    assert (nonzero >= 0.5).all()
-
-
 # ---------------------------------------------- tf-idf / balanced sample
 
 
