@@ -28,7 +28,7 @@ def entry() -> Any:
 
 def queries() -> dict[str, Callable[[str], Any]]:
     """One entry per implemented operator/pipeline from SURVEY.md §2 plus
-    the large-scale training-data ops (dedup, ANN, text analysis)."""
+    the large-scale training-data ops (dedup, text analysis)."""
     from ocr_ray.driver import QUERIES
 
     return dict(QUERIES)
@@ -39,9 +39,8 @@ def oracle_sql() -> dict[str, str]:
     extraction outputs (stateful actor-pool OCR/repair — genuinely
     non-SQL; rows-only check), which are themselves covered by the
     green derived oracle ``extract_conservation``. Everything else —
-    including MinHash (bit-exact HUGEINT signatures), SimHash, IVF ANN
-    (embedded deterministic centroids) and the cosine-dedup recall
-    gate — is oracle-backed."""
+    including MinHash (bit-exact HUGEINT signatures) and SimHash — is
+    oracle-backed."""
     from ocr_ray.driver import oracle_sql as _oracle
 
     return _oracle()

@@ -30,7 +30,6 @@ BENCH_QUERIES = [
     "dedup_minhash",
     "dedup_minhash_verified",
     "dedup_simhash",
-    "ann_brute_topk",
     "events_per_day",
     "doc_stats_by_lang",
     "tfidf_top_terms",
@@ -43,8 +42,6 @@ BENCH_QUERIES = [
     "dedup_exact_incremental",
     # round-3 operator families
     "pack_sequences",
-    "kmeans_clusters",
-    "semdedup_drop_list",
     "collocation_pairs",
     "dedup_minhash_incremental",
     "vocab_overlap",
@@ -59,13 +56,11 @@ BENCH_QUERIES = [
     # this-session operator families (all 3-8.5 s at sf0.1 / 32 CPUs)
     "unigram_logprob",
     "sorted_neighborhood_pairs",
-    "embedding_gram",
     "mix_rebalance_weights",
     "unigram_js_divergence",
     "length_auc",
     "keyness_terms",
     "bpe_merge_pairs",
-    "search_bm25",
     "gopher_quality_flags",
     "dsir_weights",
     "jaro_winkler_pairs",
@@ -80,19 +75,15 @@ BENCH_QUERIES = [
     "ks_drift_by_source",
     "hashed_bow",
     "snm_quality",
-    "pq_adc_violations",
     "welch_t_by_source",
     "rendezvous_shards",
     # round-3 close batch: provenance family
     "phrase_match_counts",
-    "mutual_nn_pairs",
     "cross_source_overlap_matrix",
     # effective_token_counts stays oracle-gated (it re-runs the full
     # MinHash drop-list chain — same class as dedup_minhash_canonical)
     "vocab_concentration",
     "langid_calibration",
-    "kcenter_coreset",
-    "embedding_top_pc",
     "neyman_allocation",
     "dsir_clip_ess",
     # round-4: the flagship composed curation DAG (filter → exact dedup
@@ -113,7 +104,6 @@ BENCH_QUERIES = [
     "dup_rate_timeline",
     "rare_token_ratio",
     "truncation_loss_sweep",
-    "embedding_curation_stats",
     "near_dup_cluster_profile",
     "dedup_yield_curve",
     "source_dedup_matrix",

@@ -12,7 +12,7 @@ transforms over ``ray.data.Dataset``:
 - reassembly per doc_id preserving offset order via hash partitioning;
 - checkpoint-resumable partitioned output with per-partition lineage;
 - large-scale training-data ops: dedup (exact / MinHash-LSH / SimHash /
-  n-gram Jaccard), ANN similarity search, text analysis.
+  n-gram Jaccard), text analysis.
 """
 
 __version__ = "0.1.0"

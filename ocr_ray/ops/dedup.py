@@ -551,8 +551,7 @@ def connected_components(pairs, col_a: str = "doc_a", col_b: str = "doc_b",
             )
         )
     if n_edges <= local_threshold:
-        # local fast path, same discipline as similarity.py's k-means
-        # small-input shortcut: a near-dup edge set this small (~32 MB)
+        # local fast path: a near-dup edge set this small (~32 MB)
         # is a DRIVER-BOUNDED structure, and one path-compressed
         # union-find beats 3-25 distributed join rounds by ~20 s of
         # fixed per-round overhead (measured at sf0.1). Label = min

@@ -7,8 +7,9 @@ see ops/learning_state). At engine scale that generalizes to:
 - ``broadcast_join``: the small side is ``ray.put`` once and joined
   inside every ``map_batches`` task with a zero-copy pyarrow hash join —
   no shuffle, the canonical dimension-table pattern;
-- ``semi_join_filter`` / ``anti_join_filter``: broadcast the key set and
-  mask with ``pc.is_in`` — no data movement at all.
+- ``adaptive_key_join`` / ``attach_pair_payloads``: broadcast the small
+  side's key set, mask the large side with ``pc.is_in`` and join the
+  bounded remainder — no shuffle for the small-key regime.
 
 Both-sides-large joins use Ray Data's native hash-partitioned
 ``Dataset.join`` (``large_join`` below) — both sides shuffle on the key,
@@ -212,7 +213,7 @@ def adaptive_key_join(left, right, on: str, *, right_on: str | None = None,
     keys = pa.concat_tables(
         [pa.table({on: b[on]}) for b in left.iter_batches(batch_format="pyarrow")]
     )[on].combine_chunks()
-    filtered = semi_join_filter(right, right_key, keys)
+    filtered = _semi_join_filter(right, right_key, keys)
     collect_cap = 4 * small_threshold
     matched, n_matched = [], 0
     for b in filtered.iter_batches(batch_format="pyarrow"):
@@ -395,7 +396,7 @@ def attach_pair_payloads(pairs, side, *, key_a: str, key_b: str, side_key: str,
         )
     matched = [
         b
-        for b in semi_join_filter(side, side_key, keys).iter_batches(
+        for b in _semi_join_filter(side, side_key, keys).iter_batches(
             batch_format="pyarrow"
         )
         if b.num_rows
@@ -424,17 +425,10 @@ def attach_pair_payloads(pairs, side, *, key_a: str, key_b: str, side_key: str,
     )
 
 
-def semi_join_filter(big, key_column: str, key_set: pa.Array, invert: bool = False):
-    """Broadcast semi/anti join: keep rows whose key is (not) in the set."""
+def _semi_join_filter(big, key_column: str, key_set: pa.Array):
+    """Broadcast semi join: keep rows whose key is in the set."""
 
     def apply(batch: pa.Table) -> pa.Table:
-        mask = pc.is_in(batch[key_column], value_set=key_set)
-        if invert:
-            mask = pc.invert(mask)
-        return batch.filter(mask)
+        return batch.filter(pc.is_in(batch[key_column], value_set=key_set))
 
     return big.map_batches(apply, batch_format="pyarrow")
-
-
-def anti_join_filter(big, key_column: str, key_set: pa.Array):
-    return semi_join_filter(big, key_column, key_set, invert=True)

@@ -11,9 +11,9 @@ Scale shape:
   corpus vocabulary (``corpus_vocabulary``: one stateless pass emits
   slim per-batch ``(word, df_partial)`` rows and a tiny keyed sum
   builds the vocabulary — the corpus itself never shuffles).
-- ``doc_cosine_pairs_sparse`` (exact-threshold sparse cosine join, the
-  lexical complement of ops/similarity.py's embedding families): one
-  stateless pass emits ``(word, doc_id, tf)`` postings; one hash shuffle
+- ``doc_cosine_pairs_sparse`` (exact-threshold sparse cosine join over
+  term-frequency vectors): one stateless pass emits
+  ``(word, doc_id, tf)`` postings; one hash shuffle
   by word puts a word's whole postings list in one block, where df is
   just the group size — words with df < 2 or df > ``max_df`` (stop
   words) are skipped in bulk, and the survivors emit BOTH pair partial
@@ -31,8 +31,8 @@ import logging
 import numpy as np
 import pyarrow as pa
 
+from ocr_ray.ops.analysis import _WORD_RE
 from ocr_ray.ops.dedup import _intra_group_pair_indices, _with_schema
-from ocr_ray.ops.search import _WORD_RE
 from ocr_ray.stages.grouped import grouped_map
 
 logger = logging.getLogger(__name__)

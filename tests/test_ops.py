@@ -1,5 +1,5 @@
-"""Operator tests: dedup family vs brute-force oracles, ANN recall,
-learning-state merge semantics."""
+"""Operator tests: dedup family vs brute-force oracles, learning-state
+merge semantics."""
 from __future__ import annotations
 
 import numpy as np
@@ -139,61 +139,6 @@ def test_ngram_containment_asymmetric(ray_session):
     )
 
 
-def _embeddings_table(n=64, dim=16, seed=3):
-    rng = np.random.RandomState(seed)
-    vecs = rng.standard_normal((n, dim)).astype(np.float32)
-    vecs[1] = vecs[0] * 1.5  # same direction → cosine 1 with 0
-    return pa.table(
-        {
-            "vec_id": pa.array(range(n), pa.int64()),
-            "embedding": pa.array([list(map(float, v)) for v in vecs],
-                                  pa.list_(pa.float32())),
-        }
-    )
-
-
-def test_ann_brute_matches_numpy(ray_session):
-    from ocr_ray.ops.similarity import ann_brute_topk
-
-    tbl = _embeddings_table()
-    mat = np.stack([np.array(v) for v in tbl.column("embedding").to_pylist()]).astype(
-        np.float64
-    )
-    queries = mat[:2]
-    out = ann_brute_topk(_ray_ds(tbl), queries, k=5).to_pandas()
-    norm = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-    for qi in range(2):
-        sims = norm @ (queries[qi] / np.linalg.norm(queries[qi]))
-        expect = np.lexsort((np.arange(len(sims)), -sims))[:5]
-        got = out[out["query_id"] == qi].sort_values("rank")["vec_id"].tolist()
-        assert got == list(expect)
-
-
-def test_ann_ivf_recall(ray_session):
-    from ocr_ray.ops.similarity import ann_brute_topk, ann_ivf_topk
-
-    tbl = _embeddings_table(n=256)
-    mat = np.stack([np.array(v) for v in tbl.column("embedding").to_pylist()]).astype(
-        np.float64
-    )
-    queries = mat[:3]
-    brute = ann_brute_topk(_ray_ds(tbl), queries, k=10).to_pandas()
-    ivf = ann_ivf_topk(
-        _ray_ds(tbl), queries, k=10, n_clusters=8, nprobe=4, sample_size=256
-    ).to_pandas()
-    for qi in range(3):
-        b = set(brute[brute["query_id"] == qi]["vec_id"])
-        i = set(ivf[ivf["query_id"] == qi]["vec_id"])
-        assert len(b & i) / len(b) >= 0.5  # nprobe=4 of 8 clusters
-
-def test_embedding_cosine_dedup(ray_session):
-    from ocr_ray.ops.similarity import embedding_cosine_dedup
-
-    out = embedding_cosine_dedup(_ray_ds(_embeddings_table()), threshold=0.99).to_pandas()
-    pairs = {(int(r["vec_a"]), int(r["vec_b"])) for _, r in out.iterrows()}
-    assert (0, 1) in pairs  # colinear vectors
-
-
 def test_minhash_verified_exact(ray_session):
     from ocr_ray.ops.dedup import minhash_verified_pairs
 
@@ -251,87 +196,6 @@ def test_minhash_drop_list_component_semantics(ray_session):
     dropped = set(out["doc_id"].astype(int))
     assert 0 not in dropped
     assert {1, 5} <= dropped
-
-
-def test_stratified_sample_spans_sorted_table(ray_session):
-    """A head sample (limit-n) of a cluster-SORTED table sees only the
-    first cluster; the hash-stratified sample must span the id range."""
-    from ocr_ray.ops.similarity import stratified_sample
-
-    rng = np.random.RandomState(7)
-    n, dim = 512, 8
-    # three tight clusters laid out contiguously (sorted by cluster)
-    centers = rng.standard_normal((3, dim)) * 10
-    vecs = np.concatenate(
-        [centers[i] + 0.01 * rng.standard_normal((n // 3 + 1, dim)) for i in range(3)]
-    )[:n]
-    tbl = pa.table(
-        {
-            "vec_id": pa.array(range(n), pa.int64()),
-            "embedding": pa.array([list(map(float, v)) for v in vecs],
-                                  pa.list_(pa.float32())),
-        }
-    )
-    sample = stratified_sample(_ray_ds(tbl), sample_size=64)
-    ids = sample.column("vec_id").to_numpy()
-    assert len(ids) <= 64
-    # rows drawn from every third of the table, not just the head
-    assert (ids < n // 3).any() and (ids >= 2 * n // 3).any()
-
-
-def test_ivf_recall_on_cluster_sorted_table(ray_session):
-    """IVF recall with centroids trained on the stratified sample of a
-    cluster-sorted table — the head-sample failure mode (all centroids
-    in cluster 0) would tank recall for queries in the later clusters."""
-    from ocr_ray.ops.similarity import ann_brute_topk, ann_ivf_topk
-
-    rng = np.random.RandomState(11)
-    n, dim = 384, 8
-    centers = rng.standard_normal((3, dim)) * 10
-    vecs = np.concatenate(
-        [centers[i] + 0.05 * rng.standard_normal((n // 3, dim)) for i in range(3)]
-    )
-    tbl = pa.table(
-        {
-            "vec_id": pa.array(range(n), pa.int64()),
-            "embedding": pa.array([list(map(float, v)) for v in vecs],
-                                  pa.list_(pa.float32())),
-        }
-    )
-    # one query from the LAST cluster (invisible to a head sample)
-    queries = vecs[n - 5 : n - 2].astype(np.float64)
-    brute = ann_brute_topk(_ray_ds(tbl), queries, k=10).to_pandas()
-    ivf = ann_ivf_topk(
-        _ray_ds(tbl), queries, k=10, n_clusters=6, nprobe=3, sample_size=96
-    ).to_pandas()
-    for qi in range(3):
-        b = set(brute[brute["query_id"] == qi]["vec_id"])
-        i = set(ivf[ivf["query_id"] == qi]["vec_id"])
-        assert len(b & i) / len(b) >= 0.8
-
-
-def test_cosine_dedup_multitable_recall(ray_session):
-    """Every planted near-copy pair (cosine ≈ 0.9999) must be found at
-    threshold 0.999 with the 4-table hyperplane LSH."""
-    from ocr_ray.ops.similarity import embedding_cosine_dedup
-
-    rng = np.random.RandomState(5)
-    n, dim = 48, 16
-    vecs = rng.standard_normal((n, dim))
-    copies = vecs + 0.002 * rng.standard_normal((n, dim))
-    all_vecs = np.concatenate([vecs, copies])
-    tbl = pa.table(
-        {
-            "vec_id": pa.array(range(2 * n), pa.int64()),
-            "embedding": pa.array([list(map(float, v)) for v in all_vecs],
-                                  pa.list_(pa.float64())),
-        }
-    )
-    out = embedding_cosine_dedup(
-        _ray_ds(tbl), threshold=0.999, bits=16, n_tables=4
-    ).to_pandas()
-    pairs = {(int(r["vec_a"]), int(r["vec_b"])) for _, r in out.iterrows()}
-    assert {(i, i + n) for i in range(n)} <= pairs
 
 
 # ------------------------------------------------------------ learning
@@ -531,17 +395,6 @@ def test_adaptive_key_join_fat_right_flips_to_inverse_broadcast(ray_session):
     assert {set(r) == {"k", "lv", "rv"} for r in out} == {True}
 
 
-def test_stratified_sample_empty_table_raises(ray_session):
-    from ocr_ray.ops.similarity import stratified_sample
-
-    empty = pa.table(
-        {"vec_id": pa.array([], pa.int64()),
-         "vec": pa.array([], pa.list_(pa.float32()))}
-    )
-    with pytest.raises(ValueError, match="no rows sampled"):
-        stratified_sample(_ray_ds(empty), sample_size=8)
-
-
 def test_vocab_overlap_hand_case(ray_session):
     import ray.data as rd
 
@@ -575,36 +428,6 @@ def test_vocab_overlap_hand_case(ray_session):
     assert ("sA", "sC") not in out and ("sB", "sC") not in out
 
 
-def test_kmeans_integer_separated_clusters(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.similarity import kmeans_integer
-
-    # two tight, well-separated blobs in 4-d; seeds (smallest vec_ids)
-    # land one in each blob, so Lloyd converges immediately
-    lo = [[0.0, 0.0, 0.1, 0.0], [0.1, 0.0, 0.0, 0.1], [0.0, 0.1, 0.0, 0.0]]
-    hi = [[5.0, 5.0, 5.1, 5.0], [5.1, 5.0, 5.0, 5.1], [5.0, 5.1, 5.0, 5.0]]
-    tbl = pa.table(
-        {
-            "vec_id": pa.array([0, 2, 4, 1, 3, 5], pa.int64()),
-            "embedding": pa.array(
-                [lo[0], lo[1], lo[2], hi[0], hi[1], hi[2]],
-                pa.list_(pa.float32()),
-            ),
-        }
-    )
-    out = {
-        r["vec_id"]: r["cluster"]
-        for r in kmeans_integer(rd.from_arrow(tbl), k=2, iters=3).take_all()
-    }
-    # vec 0 (lo) is cluster 0's seed, vec 1 (hi) is cluster 1's seed
-    assert out[0] == out[2] == out[4] == 0
-    assert out[1] == out[3] == out[5] == 1
-
-    with pytest.raises(ValueError, match="exceeds"):
-        kmeans_integer(rd.from_arrow(tbl), k=10, iters=1)
-
-
 def test_validate_documents_counts_violations(ray_session):
     import ray.data as rd
 
@@ -625,49 +448,6 @@ def test_validate_documents_counts_violations(ray_session):
     assert row["n_len_mismatch"] == 1  # 'hello' vs 99
     assert row["n_dup_ids"] == 1
     assert row["min_chars"] == 0 and row["max_chars"] == 99
-
-
-def test_cluster_top_terms_composition(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.similarity import cluster_top_terms
-
-    # two separated blobs; docs of blob 0 say "alpha", blob 1 "omega"
-    lo, hi = [0.0, 0.0], [9.0, 9.0]
-    emb = pa.table(
-        {
-            "vec_id": pa.array([0, 1, 2, 3], pa.int64()),
-            "embedding": pa.array(
-                [lo, hi, [0.1, 0.0], [9.1, 9.0]], pa.list_(pa.float32())
-            ),
-        }
-    )
-    docs = pa.table(
-        {
-            "doc_id": pa.array([0, 1, 2, 3], pa.int64()),
-            "text": pa.array(
-                [
-                    "alpha alpha beta",
-                    "omega omega gamma",
-                    "alpha beta beta",
-                    "omega gamma",
-                ],
-                pa.string(),
-            ),
-        }
-    )
-    out = cluster_top_terms(
-        rd.from_arrow(emb), rd.from_arrow(docs), k=2, iters=2, top=2
-    ).take_all()
-    by_cluster = {}
-    for r in out:
-        by_cluster.setdefault(r["cluster"], []).append(r)
-    # cluster 0 = {docs 0, 2}: beta x3, alpha x3 -> tie broken word ASC
-    c0 = sorted(by_cluster[0], key=lambda r: r["rank"])
-    assert [(r["word"], r["c"]) for r in c0] == [("alpha", 3), ("beta", 3)]
-    c1 = sorted(by_cluster[1], key=lambda r: r["rank"])
-    assert c1[0]["word"] == "omega" and c1[0]["c"] == 3
-    assert c1[1]["word"] == "gamma" and c1[1]["c"] == 2
 
 
 def test_dedup_strategy_overlap_counts(ray_session, tmp_path):

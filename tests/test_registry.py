@@ -20,7 +20,6 @@ ROWS_ONLY = {"extract_documents", "extract_spans"}
 UNREACHED_OPS = {
     "analysis.events_by_type",
     "analysis.events_per_day",
-    "joins.anti_join_filter",
     "learning_state.export_json",
     "learning_state.export_words",
     "learning_state.load_state",

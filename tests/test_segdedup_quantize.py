@@ -1,6 +1,6 @@
-"""Unit tests for the segment-dedup, SQ8-quantization and
-rank-concordance families (the oracle harness is the primary gate; these
-pin the kernel math and edge cases that SQL comparison can't isolate)."""
+"""Unit tests for the segment-dedup and rank-concordance families (the
+oracle harness is the primary gate; these pin the kernel math and edge
+cases that SQL comparison can't isolate)."""
 import numpy as np
 import pyarrow as pa
 
@@ -129,37 +129,6 @@ class TestSegmentDedupDocs:
         assert out.loc[1, "clean_text"] == "mid dle"
         assert out.loc[1, "n_dropped_segments"] == 2
         assert out.loc[2, "clean_text"] == "tail word"
-
-
-class TestSQ8:
-    def test_encode_saturates_and_guards_constant_dim(self):
-        from ocr_ray.ops.quantize import _encode
-
-        m = np.array([[0.0, 5.0], [1.0, 5.0], [0.5, 5.0]])
-        mn, mx = m.min(axis=0), m.max(axis=0)
-        codes = _encode(m, mn, mx)
-        assert codes[0, 0] == 0 and codes[1, 0] == 255
-        assert codes[0, 1] == 0 and codes[2, 1] == 0  # constant dim
-        assert 0 <= codes[2, 0] < 255
-
-    def test_train_matches_numpy(self, ray_session):
-        import ray.data as rd
-
-        from ocr_ray.ops.quantize import train_sq8
-
-        rng = np.random.default_rng(3)
-        m = rng.normal(size=(40, 8))
-        ds = rd.from_arrow(
-            pa.table(
-                {
-                    "label": pa.array([0] * 40, pa.int64()),
-                    "embedding": pa.array(m.tolist()),
-                }
-            )
-        )
-        mn, mx = train_sq8(ds)
-        np.testing.assert_array_equal(mn, m.min(axis=0))
-        np.testing.assert_array_equal(mx, m.max(axis=0))
 
 
 class TestRankCorr:

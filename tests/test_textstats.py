@@ -92,59 +92,6 @@ def test_stratified_sample_per_group_deterministic(ray_session):
     assert key(out1) == key(out2)
 
 
-def test_term_postings_and_search(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.search import search_topk, term_postings
-
-    tbl = pa.table(
-        {
-            "doc_id": pa.array([1, 2, 3], pa.int64()),
-            "text": pa.array(
-                [
-                    "hash join hash join filter",
-                    "scan filter",
-                    "the and of",  # all < 3 chars or stopword-ish, still words
-                ]
-            ),
-        }
-    )
-    posts = {
-        (r["doc_id"], r["word"]): r["tf"]
-        for r in term_postings(rd.from_arrow(tbl)).take_all()
-    }
-    assert posts[(1, "hash")] == 2 and posts[(1, "join")] == 2
-    assert posts[(1, "filter")] == 1 and posts[(2, "scan")] == 1
-    assert (3, "the") in posts  # 3-letter words count; no stoplist here
-
-    top = search_topk(rd.from_arrow(tbl), ["hash", "filter"], k=2).take_all()
-    assert [(r["doc_id"], r["score"]) for r in top] == [(1, 3), (2, 1)]
-
-
-def test_label_centroids_fixed_point_exact(ray_session):
-    import ray.data as rd
-
-    from ocr_ray.ops.search import label_centroids
-
-    tbl = pa.table(
-        {
-            "label": pa.array([0, 0, 1], pa.int32()),
-            "embedding": pa.array(
-                [[1.0, 2.0], [3.0, 6.0], [5.0, -1.5]],
-                pa.list_(pa.float32()),
-            ),
-        }
-    )
-    rows = {
-        (r["label"], r["dim"]): (r["centroid"], r["n_vecs"])
-        for r in label_centroids(rd.from_arrow(tbl)).take_all()
-    }
-    assert rows[(0, 1)] == (2.0, 2)
-    assert rows[(0, 2)] == (4.0, 2)
-    assert rows[(1, 1)] == (5.0, 1)
-    assert rows[(1, 2)] == (-1.5, 1)
-
-
 def test_repetition_stats_hand_checked():
     from ocr_ray.ops.textstats import repetition_stats_batch
 
